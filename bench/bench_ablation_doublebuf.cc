@@ -51,15 +51,20 @@ void BM_PipelineEpoch(benchmark::State& state) {
 
   LogisticRegression model(f.ds.spec.dim);
   model.InitParams(1);
+  TupleBatch batch;
+  double loss_sum = 0.0;
   for (auto _ : state) {
     uint64_t n = 0;
-    while (const Tuple* t = op.Next()) {
+    while (op.NextBatch(&batch)) {
       // Compute-heavy consumer: a few SGD steps per tuple so that fills
       // can actually hide behind compute.
-      for (int k = 0; k < 4; ++k) model.SgdStep(*t, 1e-4);
-      ++n;
+      for (int k = 0; k < 4; ++k) {
+        model.BatchGradientStep(batch, 1e-4, &loss_sum);
+      }
+      n += batch.size();
     }
     benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(loss_sum);
     if (!op.ReScan().ok()) state.SkipWithError("rescan failed");
   }
   state.SetItemsProcessed(state.iterations() *

@@ -10,9 +10,12 @@ Result<EmissionTrace> TraceEpoch(TupleStream* stream, uint64_t epoch) {
   if (stream == nullptr) return Status::InvalidArgument("null stream");
   CORGI_RETURN_NOT_OK(stream->StartEpoch(epoch));
   EmissionTrace trace;
-  while (const Tuple* t = stream->Next()) {
-    trace.ids.push_back(t->id);
-    trace.labels.push_back(t->label);
+  TupleBatch batch;
+  while (stream->NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      trace.ids.push_back(batch.id(i));
+      trace.labels.push_back(batch.label(i));
+    }
   }
   CORGI_RETURN_NOT_OK(stream->status());
   return trace;

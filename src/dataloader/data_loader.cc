@@ -13,24 +13,6 @@ Status DataLoader::StartEpoch(uint64_t epoch) {
                               options_.num_workers);
 }
 
-Result<bool> DataLoader::NextBatch(std::vector<Tuple>* batch) {
-  batch->clear();
-  while (batch->size() < options_.batch_size) {
-    const Tuple* t = dataset_->Next();
-    if (t == nullptr) {
-      CORGI_RETURN_NOT_OK(dataset_->status());
-      break;
-    }
-    batch->push_back(*t);
-  }
-  if (batch->empty()) return false;
-  if (options_.drop_last && batch->size() < options_.batch_size) {
-    batch->clear();
-    return false;
-  }
-  return true;
-}
-
 Result<bool> DataLoader::NextBatch(TupleBatch* batch) {
   batch->set_target_tuples(options_.batch_size);
   const bool got = dataset_->NextBatch(batch);

@@ -2,9 +2,6 @@
 
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "dataloader/dataset_api.h"
 
 namespace corgipile {
@@ -24,13 +21,9 @@ class DataLoader {
 
   Status StartEpoch(uint64_t epoch);
 
-  /// Fills *batch with up to batch_size tuples; returns false at epoch end
-  /// (batch left empty, or short with drop_last=false semantics applied).
-  Result<bool> NextBatch(std::vector<Tuple>* batch);
-
-  /// Batched-pipeline form: fills the TupleBatch arena (target_tuples is
-  /// set to batch_size) via one dataset NextBatch call. Same tuples, same
-  /// order, same drop_last semantics as the vector overload.
+  /// Fills *batch with up to batch_size tuples (target_tuples is set to
+  /// batch_size) via one dataset NextBatch call; returns false at epoch end
+  /// (batch left empty, or a short final batch dropped under drop_last).
   Result<bool> NextBatch(TupleBatch* batch);
 
  private:

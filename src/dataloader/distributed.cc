@@ -80,7 +80,7 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
   std::vector<std::unique_ptr<Model>> replicas;  // per-worker compute clones
   std::vector<std::vector<double>> worker_grads(
       P, std::vector<double>(model->num_params(), 0.0));
-  std::vector<std::vector<Tuple>> microbatches(P);
+  std::vector<TupleBatch> microbatches(P);
   std::vector<double> worker_loss(P, 0.0);
   std::vector<WorkerState> workers(P);
 
@@ -107,7 +107,7 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
     workers[w].status = st;
     if (options.failure_policy == WorkerFailurePolicy::kDropAndRescale) {
       workers[w].active = false;
-      microbatches[w].clear();
+      microbatches[w].Clear();
       result.dropped_workers.push_back(
           DroppedWorker{w, epoch, st.code(), st.message()});
       return Status::OK();
@@ -161,7 +161,7 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
           workers[w].total_sim_seconds += d;
         }
         if (!more.ok()) {
-          microbatches[w].clear();
+          microbatches[w].Clear();
           CORGI_RETURN_NOT_OK(worker_failed(w, epoch, more.status()));
           continue;
         }
@@ -197,8 +197,9 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
       // Parallel gradient computation against the shared parameters. Each
       // worker uses its own model replica synced to the current params and
       // writes only its own slots; the ParallelFor barrier publishes them
-      // back to the supervisor. Workers poll the cancellation token so a
-      // fail-fast unwind does not leave stale tasks running.
+      // back to the supervisor. Workers poll the cancellation token between
+      // row ranges so a fail-fast unwind does not leave stale tasks running.
+      constexpr size_t kCancelPollRows = 64;
       if (replicas.empty()) {
         for (uint32_t w = 0; w < P; ++w) replicas.push_back(model->Clone());
       }
@@ -212,12 +213,13 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
               return Status::OK();
             }
             replicas[w]->params() = model->params();
-            size_t polled = 0;
-            for (const Tuple& t : microbatches[w]) {
-              if ((++polled & 63u) == 0 && cancel.cancelled()) {
-                return cancel.status();
-              }
-              worker_loss[w] += replicas[w]->AccumulateGrad(t, &grad);
+            const TupleBatch& mb = microbatches[w];
+            for (size_t begin = 0; begin < mb.size();
+                 begin += kCancelPollRows) {
+              if (begin > 0 && cancel.cancelled()) return cancel.status();
+              replicas[w]->BatchAccumulateGrad(
+                  mb, begin, std::min(mb.size(), begin + kCancelPollRows),
+                  &grad, &worker_loss[w]);
             }
             workers[w].heartbeat_steps++;  // liveness report to supervisor
             return Status::OK();
@@ -314,13 +316,14 @@ Result<std::vector<uint64_t>> TraceDistributedOrder(
     CORGI_RETURN_NOT_OK(loaders[w]->StartEpoch(epoch));
   }
   std::vector<uint64_t> order;
-  std::vector<Tuple> batch;
+  TupleBatch batch;
   for (;;) {
     uint64_t got = 0;
     for (uint32_t w = 0; w < P; ++w) {
       CORGI_ASSIGN_OR_RETURN(bool more, loaders[w]->NextBatch(&batch));
       (void)more;
-      for (const Tuple& t : batch) order.push_back(t.id);
+      order.insert(order.end(), batch.ids_data(),
+                   batch.ids_data() + batch.size());
       got += batch.size();
     }
     if (got == 0) break;

@@ -93,13 +93,6 @@ bool BlockShuffleOp::LoadNextBlock() {
   return false;
 }
 
-const Tuple* BlockShuffleOp::Next() {
-  if (pos_ >= current_block_.size()) {
-    if (!LoadNextBlock()) return nullptr;
-  }
-  return &current_block_[pos_++];
-}
-
 bool BlockShuffleOp::NextBatch(TupleBatch* out) {
   out->Clear();
   while (!out->full()) {

@@ -42,7 +42,6 @@ class BlockShuffleOp : public WithStreamState<PhysicalOperator> {
   BlockShuffleOp(Table* table, Options options);
 
   Status Init() override;
-  const Tuple* Next() override;
   /// Native batched fill: copies whole runs of the decoded block into the
   /// batch arena.
   bool NextBatch(TupleBatch* out) override;

@@ -2,10 +2,9 @@
 // batched transport of DESIGN.md §9.
 //
 // Mirrors PostgreSQL's executor protocol: ExecInit → getNext* → ExecReScan
-// (per epoch) → Close. Operators move whole TupleBatches (NextBatch, the
-// hot path); the per-tuple Next() is retained as the golden-reference
-// protocol and for compatibility. As with BatchStream, the two must not be
-// interleaved within one scan.
+// (per epoch) → Close. Operators move whole TupleBatches (NextBatch); a
+// scan's batches concatenate to the batch-of-one order at every transport
+// batch size.
 
 #pragma once
 
@@ -26,23 +25,19 @@ class PhysicalOperator {
   /// One-time initialization (buffers, model state, ...).
   virtual Status Init() = 0;
 
-  /// Produces the next tuple or nullptr at end-of-scan / on error; after
-  /// nullptr, check status().
-  virtual const Tuple* Next() = 0;
-
   /// Clears *out and fills it with up to out->target_tuples() tuples in
-  /// scan order; returns true iff at least one was appended. The
-  /// concatenation of batches equals the Next() emission order exactly.
-  /// Default drains Next(); operators with block or staged buffers
-  /// override it to fill from their arenas directly.
-  virtual bool NextBatch(TupleBatch* out) {
-    out->Clear();
-    while (!out->full()) {
-      const Tuple* t = Next();
-      if (t == nullptr) break;
-      out->Append(*t);
-    }
-    return !out->empty();
+  /// scan order; returns true iff at least one was appended. After false,
+  /// check status().
+  virtual bool NextBatch(TupleBatch* out) = 0;
+
+  /// Convenience pull of one tuple: a one-row NextBatch, materialized. The
+  /// pointer stays valid until the next call; nullptr at end-of-scan / on
+  /// error. Virtual only because the benchmark's operator decorators
+  /// (perfbench/src/traced.h, perfbench/src/selftest.cc) override it.
+  virtual const Tuple* Next() {
+    if (!NextBatch(&next_row_)) return nullptr;
+    next_row_.MaterializeTo(0, &next_tuple_);
+    return &next_tuple_;
   }
 
   /// Resets the scan for the next epoch (PostgreSQL's re-scan mechanism):
@@ -70,6 +65,10 @@ class PhysicalOperator {
   /// aggregate their subtree.
   virtual uint64_t QuarantinedBlocks() const { return 0; }
   virtual uint64_t SkippedTuples() const { return 0; }
+
+ private:
+  TupleBatch next_row_{1};
+  Tuple next_tuple_;
 };
 
 }  // namespace corgipile

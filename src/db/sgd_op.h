@@ -8,13 +8,14 @@
 
 #pragma once
 
-#include <memory>
+#include <optional>
 
 #include "db/operator.h"
 #include "iosim/sim_clock.h"
 #include "ml/metrics.h"
 #include "ml/model.h"
 #include "ml/optimizer.h"
+#include "ml/sgd_epoch.h"
 #include "ml/trainer.h"
 #include "storage/schema.h"
 #include "util/status.h"
@@ -32,9 +33,9 @@ class SgdOp {
     LabelType label_type = LabelType::kBinary;
     SimClock* clock = nullptr;  ///< compute time charged here
     uint64_t init_seed = 7;
-    /// Transport batch size: tuples pulled per child->NextBatch call.
-    /// Purely a transport knob (seeded results are bit-identical at every
-    /// value); 0 = legacy per-tuple Next() pull, the golden reference.
+    /// Transport batch size: tuples pulled per child->NextBatch call (0 is
+    /// treated as 1). Purely a transport knob: seeded results are
+    /// bit-identical at every value, 1 being the golden reference.
     uint32_t exec_batch_tuples = TupleBatch::kDefaultTargetTuples;
 
     /// Crash safety (DESIGN.md §12): with a non-empty checkpoint_path the
@@ -82,16 +83,13 @@ class SgdOp {
   Model* model_;
   PhysicalOperator* child_;
   Options options_;
-  TupleBatch exec_batch_;  // transport buffer, arena reused across epochs
   uint32_t epoch_ = 0;
   uint32_t start_epoch_ = 0;
   uint64_t total_tuples_ = 0;
   double best_test_metric_ = 0.0;
   uint64_t base_quarantined_ = 0;
   uint64_t base_skipped_ = 0;
-  std::unique_ptr<Optimizer> opt_;
-  std::vector<double> grad_;
-  bool batched_ = false;
+  std::optional<SgdEpochLoop> sgd_;  // built by Init
   bool initialized_ = false;
 };
 

@@ -12,8 +12,6 @@ Status StreamAdapterOp::Init() {
   return stream_->StartEpoch(epoch_);
 }
 
-const Tuple* StreamAdapterOp::Next() { return stream_->Next(); }
-
 Status StreamAdapterOp::ReScan() { return stream_->StartEpoch(++epoch_); }
 
 void StreamAdapterOp::Close() {}

@@ -21,7 +21,6 @@ class StreamAdapterOp : public PhysicalOperator {
 
   const char* name() const override { return "StreamAdapter"; }
   Status Init() override;
-  const Tuple* Next() override;
   /// Forwards to the wrapped stream's native batched fill.
   bool NextBatch(TupleBatch* out) override { return stream_->NextBatch(out); }
   Status ReScan() override;

@@ -1,11 +1,12 @@
 // BatchStream: the single batched (vectorized) pipeline interface
 // (DESIGN.md §9).
 //
-// Replaces the three divergent per-tuple Volcano interfaces the codebase
-// grew (shuffle/tuple_stream.h, db/operator.h, dataloader/dataset_api.h) as
-// the hot-path transport: producers move whole TupleBatches, so every
-// stage pays one virtual call, one status check, and one allocation-free
-// arena append pass per *batch* instead of per tuple.
+// The one transport of the shuffle streams (shuffle/tuple_stream.h); the
+// db operators (db/operator.h) and the loader datasets
+// (dataloader/dataset_api.h) follow the same NextBatch contract. Producers
+// move whole TupleBatches, so every stage pays one virtual call, one
+// status check, and one allocation-free arena append pass per *batch*
+// instead of per tuple.
 //
 // Usage:
 //   CORGI_RETURN_NOT_OK(stream->StartEpoch(e));
@@ -18,9 +19,9 @@
 //    the stream's emission order, and returns true iff at least one tuple
 //    was appended. Batches may be short at epoch end (and implementations
 //    may also cut them at internal buffer boundaries).
-//  * The concatenation of all batches of an epoch is exactly the tuple
-//    sequence the stream's per-tuple form emits — bit-identical order, so
-//    seeded results do not depend on the transport batch size.
+//  * The concatenation of all batches of an epoch is exactly the sequence
+//    the stream emits in batches of one tuple — bit-identical order at
+//    every transport batch size, so seeded results do not depend on it.
 //  * After NextBatch returns false, check status() to distinguish a clean
 //    epoch end from an error.
 //  * Batch contents (arena spans) stay valid until the next NextBatch /

@@ -15,8 +15,7 @@
 //
 // Pointer-validity contract: spans returned by values(i)/keys(i) and the
 // row views are valid until the next Append/Clear/Reserve on this batch —
-// i.e. for the consumer, until it requests the next batch. This replaces
-// the per-tuple interfaces' "valid until the next Next()" rule.
+// i.e. for the consumer, until it requests the next batch.
 
 #pragma once
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "iosim/fault_plane.h"
+#include "ml/model.h"
 #include "ml/serialize.h"
 #include "util/crc32c.h"
 
@@ -131,6 +132,26 @@ Result<TrainCheckpoint> LoadCheckpoint(const std::string& path) {
   }
   ckpt.next_epoch = static_cast<uint32_t>(next_epoch);
   return ckpt;
+}
+
+Result<std::optional<TrainCheckpoint>> LoadResumeCheckpoint(
+    const std::string& path, const Model& model) {
+  auto loaded = LoadCheckpoint(path);
+  if (!loaded.ok()) {
+    if (loaded.status().IsNotFound()) return std::optional<TrainCheckpoint>();
+    return loaded.status();  // corrupt/unreadable checkpoint: surface it
+  }
+  TrainCheckpoint ckpt = std::move(loaded).ValueOrDie();
+  if (ckpt.model_name != model.name()) {
+    return Status::InvalidArgument("checkpoint model '" + ckpt.model_name +
+                                   "' does not match '" + model.name() + "'");
+  }
+  if (ckpt.params.size() != model.num_params()) {
+    return Status::InvalidArgument(
+        "checkpoint has " + std::to_string(ckpt.params.size()) +
+        " params, model expects " + std::to_string(model.num_params()));
+  }
+  return std::optional<TrainCheckpoint>(std::move(ckpt));
 }
 
 }  // namespace corgipile

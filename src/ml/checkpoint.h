@@ -15,12 +15,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "util/status.h"
 
 namespace corgipile {
+
+class Model;
 
 struct TrainCheckpoint {
   std::string model_name;
@@ -43,5 +46,12 @@ Status SaveCheckpoint(const TrainCheckpoint& ckpt, const std::string& path);
 /// at `path` (callers treat that as "start fresh") and kCorruption when the
 /// file fails CRC or structural validation.
 Result<TrainCheckpoint> LoadCheckpoint(const std::string& path);
+
+/// The resume step shared by every trainer: loads the checkpoint at `path`
+/// and checks it belongs to `model` (same model name and parameter count).
+/// Returns nullopt when there is no checkpoint (start fresh), and
+/// kInvalidArgument on a mismatch; other load errors pass through.
+Result<std::optional<TrainCheckpoint>> LoadResumeCheckpoint(
+    const std::string& path, const Model& model);
 
 }  // namespace corgipile

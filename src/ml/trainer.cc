@@ -5,6 +5,7 @@
 
 #include "iosim/fault_plane.h"
 #include "ml/checkpoint.h"
+#include "ml/sgd_epoch.h"
 #include "util/timer.h"
 
 namespace corgipile {
@@ -22,16 +23,8 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
     return Status::InvalidArgument("checkpoint_every_epochs must be >= 1");
   }
   model->InitParams(options.init_seed);
-
-  std::unique_ptr<Optimizer> opt;
-  std::vector<double> grad;
-  const bool batched =
-      options.batch_size > 1 || options.optimizer != OptimizerKind::kSgd;
-  if (batched) {
-    opt = MakeOptimizer(options.optimizer);
-    opt->Reset(model->num_params());
-    grad.assign(model->num_params(), 0.0);
-  }
+  SgdEpochLoop sgd(model, options.batch_size, options.optimizer,
+                   options.exec_batch_tuples);
 
   TrainResult result;
 
@@ -49,47 +42,30 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
   // start_epoch replays exactly what an uninterrupted run would have done.
   uint32_t start_epoch = 0;
   if (options.resume && !options.checkpoint_path.empty()) {
-    auto loaded = LoadCheckpoint(options.checkpoint_path);
-    if (loaded.ok()) {
-      TrainCheckpoint ckpt = std::move(loaded).ValueOrDie();
-      if (ckpt.model_name != model->name()) {
-        return Status::InvalidArgument(
-            "checkpoint model '" + ckpt.model_name + "' does not match '" +
-            model->name() + "'");
-      }
-      if (ckpt.params.size() != model->num_params()) {
-        return Status::InvalidArgument(
-            "checkpoint has " + std::to_string(ckpt.params.size()) +
-            " params, model expects " + std::to_string(model->num_params()));
-      }
+    CORGI_ASSIGN_OR_RETURN(
+        std::optional<TrainCheckpoint> ckpt,
+        LoadResumeCheckpoint(options.checkpoint_path, *model));
+    if (ckpt.has_value()) {
       if (options.theorem_averaging &&
-          ckpt.avg_params.size() != avg_params.size()) {
+          ckpt->avg_params.size() != avg_params.size()) {
         return Status::InvalidArgument(
             "checkpoint averaging state does not match the model");
       }
-      model->params() = std::move(ckpt.params);
+      model->params() = std::move(ckpt->params);
       if (options.theorem_averaging) {
-        avg_params = std::move(ckpt.avg_params);
-        weight_sum = ckpt.weight_sum;
+        avg_params = std::move(ckpt->avg_params);
+        weight_sum = ckpt->weight_sum;
       }
-      start_epoch = ckpt.next_epoch;
-      result.total_tuples = ckpt.total_tuples;
-      result.best_test_metric = ckpt.best_test_metric;
-      result.total_quarantined_blocks = ckpt.total_quarantined_blocks;
-      result.total_skipped_tuples = ckpt.total_skipped_tuples;
-    } else if (!loaded.status().IsNotFound()) {
-      return loaded.status();  // corrupt/unreadable checkpoint: surface it
+      start_epoch = ckpt->next_epoch;
+      result.total_tuples = ckpt->total_tuples;
+      result.best_test_metric = ckpt->best_test_metric;
+      result.total_quarantined_blocks = ckpt->total_quarantined_blocks;
+      result.total_skipped_tuples = ckpt->total_skipped_tuples;
     }
   }
   result.resumed_from_epoch = start_epoch;
   if (start_epoch > options.epochs) start_epoch = options.epochs;
   result.epochs.reserve(options.epochs - start_epoch);
-
-  // Batched-pipeline transport buffer; the arena is reused across batches
-  // and epochs.
-  TupleBatch exec_batch(options.exec_batch_tuples > 0
-                            ? options.exec_batch_tuples
-                            : TupleBatch::kDefaultTargetTuples);
 
   auto save_checkpoint = [&](uint32_t next_epoch) -> Status {
     TrainCheckpoint ckpt;
@@ -115,59 +91,7 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
     const uint64_t skipped_before = stream->SkippedTuples();
 
     WallTimer timer;
-    double loss_sum = 0.0;
-    uint64_t seen = 0;
-    uint32_t in_batch = 0;
-    auto flush = [&] {
-      if (in_batch == 0) return;
-      const double inv = 1.0 / static_cast<double>(in_batch);
-      for (double& g : grad) g *= inv;
-      opt->Apply(&model->params(), grad, lr);
-      std::fill(grad.begin(), grad.end(), 0.0);
-      in_batch = 0;
-    };
-    if (options.exec_batch_tuples == 0) {
-      // Legacy per-tuple pull — the golden reference the batched pipeline
-      // is tested against.
-      if (!batched) {
-        while (const Tuple* t = stream->Next()) {
-          loss_sum += model->SgdStep(*t, lr);
-          ++seen;
-        }
-      } else {
-        while (const Tuple* t = stream->Next()) {
-          loss_sum += model->AccumulateGrad(*t, &grad);
-          ++seen;
-          if (++in_batch == options.batch_size) flush();
-        }
-        flush();
-      }
-    } else {
-      // Batched pipeline: one NextBatch per exec_batch_tuples tuples. The
-      // optimizer's mini-batch grouping is re-chunked across transport
-      // batch boundaries so the flush cadence matches the legacy loop
-      // exactly.
-      while (stream->NextBatch(&exec_batch)) {
-        if (!batched) {
-          model->BatchGradientStep(exec_batch, lr, &loss_sum);
-          seen += exec_batch.size();
-        } else {
-          size_t i = 0;
-          while (i < exec_batch.size()) {
-            const size_t take =
-                std::min<size_t>(exec_batch.size() - i,
-                                 options.batch_size - in_batch);
-            model->BatchAccumulateGrad(exec_batch, i, i + take, &grad,
-                                       &loss_sum);
-            i += take;
-            seen += take;
-            in_batch += static_cast<uint32_t>(take);
-            if (in_batch == options.batch_size) flush();
-          }
-        }
-      }
-      if (batched) flush();
-    }
+    const SgdEpochLoop::Totals totals = sgd.Run(stream, lr);
     CORGI_RETURN_NOT_OK(stream->status());
 
     const Model* metrics_model = model;
@@ -186,9 +110,11 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
     EpochLog log;
     log.epoch = epoch;
     log.lr = lr;
-    log.tuples_seen = seen;
+    log.tuples_seen = totals.seen;
     log.epoch_wall_seconds = timer.ElapsedSeconds();
-    log.train_loss = seen > 0 ? loss_sum / static_cast<double>(seen) : 0.0;
+    log.train_loss = totals.seen > 0
+                         ? totals.loss_sum / static_cast<double>(totals.seen)
+                         : 0.0;
     log.quarantined_blocks = stream->QuarantinedBlocks() - quarantined_before;
     log.skipped_tuples = stream->SkippedTuples() - skipped_before;
     if (options.clock != nullptr) {
@@ -202,7 +128,7 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
     }
     log.cumulative_sim_seconds =
         options.clock != nullptr ? options.clock->TotalElapsed() : 0.0;
-    result.total_tuples += seen;
+    result.total_tuples += totals.seen;
     result.total_quarantined_blocks += log.quarantined_blocks;
     result.total_skipped_tuples += log.skipped_tuples;
     result.best_test_metric = std::max(result.best_test_metric, log.test_metric);

@@ -26,10 +26,11 @@ struct TrainerOptions {
   /// configured optimizer over dense accumulated gradients.
   uint32_t batch_size = 1;
   /// Transport batch size of the batched execution pipeline — tuples pulled
-  /// per BatchStream::NextBatch call. Purely a transport knob, independent
-  /// of batch_size (the optimizer's mini-batch): seeded results are
-  /// bit-identical at every value. 0 = legacy per-tuple Next() pull, kept
-  /// as the golden reference path for equivalence tests.
+  /// per BatchStream::NextBatch call (0 is treated as 1). Purely a
+  /// transport knob, independent of batch_size (the optimizer's
+  /// mini-batch): seeded results are bit-identical at every value, and 1 —
+  /// one tuple per batch — is the golden reference of the equivalence
+  /// tests.
   uint32_t exec_batch_tuples = TupleBatch::kDefaultTargetTuples;
   OptimizerKind optimizer = OptimizerKind::kSgd;
   /// Test tuples evaluated after each epoch (not owned; may be null).

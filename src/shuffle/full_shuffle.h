@@ -27,7 +27,6 @@ class ShuffleOnceStream : public TupleStream {
 
   const char* name() const override { return "shuffle_once"; }
   Status StartEpoch(uint64_t epoch) override;
-  const Tuple* Next() override;
   /// Native batched fill: forwards to the inner sequential scan over the
   /// shuffled copy, which drains whole decoded blocks into the batch.
   bool NextBatch(TupleBatch* out) override;
@@ -63,7 +62,6 @@ class EpochShuffleStream : public TupleStream {
 
   const char* name() const override { return "epoch_shuffle"; }
   Status StartEpoch(uint64_t epoch) override;
-  const Tuple* Next() override;
   /// Native batched fill: drains the epoch's shuffled vector in chunks.
   bool NextBatch(TupleBatch* out) override;
   Status status() const override { return status_; }

@@ -79,13 +79,6 @@ bool HierarchicalBlockStream::RefillBuffer() {
   return true;
 }
 
-const Tuple* HierarchicalBlockStream::Next() {
-  if (buffer_pos_ >= buffer_.size()) {
-    if (!RefillBuffer()) return nullptr;
-  }
-  return &buffer_[buffer_pos_++];
-}
-
 bool HierarchicalBlockStream::NextBatch(TupleBatch* out) {
   out->Clear();
   while (!out->full()) {

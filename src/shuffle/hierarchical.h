@@ -49,7 +49,6 @@ class HierarchicalBlockStream : public WithStreamState<TupleStream> {
                           Options options);
 
   Status StartEpoch(uint64_t epoch) override;
-  const Tuple* Next() override;
   /// Native batched fill: drains the shuffled buffer in batch-sized chunks
   /// (no per-tuple virtual calls on the hot path).
   bool NextBatch(TupleBatch* out) override;

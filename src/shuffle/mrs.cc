@@ -82,10 +82,6 @@ bool MrsStream::EmitNext(Tuple* out) {
   }
 }
 
-const Tuple* MrsStream::Next() {
-  return EmitNext(&current_) ? &current_ : nullptr;
-}
-
 bool MrsStream::NextBatch(TupleBatch* out) {
   out->Clear();
   while (!out->full() && EmitNext(&current_)) out->Append(current_);

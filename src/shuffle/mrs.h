@@ -28,7 +28,6 @@ class MrsStream : public TupleStream {
 
   const char* name() const override { return "mrs"; }
   Status StartEpoch(uint64_t epoch) override;
-  const Tuple* Next() override;
   /// Native batched fill: runs the multiplexed emission step inline per
   /// slot, one virtual call per batch.
   bool NextBatch(TupleBatch* out) override;
@@ -38,8 +37,7 @@ class MrsStream : public TupleStream {
 
  private:
   /// One multiplexed emission (loop-buffer replay or reservoir drop) into
-  /// *out; false when the epoch is exhausted. Shared by Next and NextBatch
-  /// so the RNG sequence is identical in both transports.
+  /// *out; false when the epoch is exhausted.
   bool EmitNext(Tuple* out);
   bool PullScanned(Tuple* out);
 

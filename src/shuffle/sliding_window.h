@@ -20,7 +20,6 @@ class SlidingWindowStream : public TupleStream {
 
   const char* name() const override { return "sliding_window"; }
   Status StartEpoch(uint64_t epoch) override;
-  const Tuple* Next() override;
   /// Native batched fill: runs the window emission step inline per slot,
   /// one virtual call per batch.
   bool NextBatch(TupleBatch* out) override;
@@ -30,8 +29,7 @@ class SlidingWindowStream : public TupleStream {
 
  private:
   /// One window emission (fill → steady state swap → drain) into *out;
-  /// false when the epoch is exhausted. Shared by Next and NextBatch so
-  /// the RNG sequence is identical in both transports.
+  /// false when the epoch is exhausted.
   bool EmitNext(Tuple* out);
   /// Next tuple from the sequential block scan; false when exhausted.
   bool PullScanned(Tuple* out);

@@ -2,11 +2,9 @@
 // order, plus the catalog of shuffling strategies the paper studies (§3–§4).
 //
 // TupleStream is the shuffle layer's face of the unified batched pipeline
-// (exec/batch_stream.h): every strategy implements NextBatch natively and
-// the batched form is the hot path. The per-tuple Next() protocol is kept
-// as the golden reference the equivalence suite checks batches against,
-// and for diagnostic consumers; an epoch's batches concatenate to exactly
-// the per-tuple emission order.
+// (exec/batch_stream.h): every strategy implements NextBatch natively, and
+// an epoch's batches concatenate to the batch-of-one order at every
+// transport batch size.
 
 #pragma once
 
@@ -22,24 +20,12 @@
 
 namespace corgipile {
 
-/// Streams tuples epoch by epoch. Batched usage:
+/// Streams tuples epoch by epoch:
 ///   stream->StartEpoch(e);
 ///   while (stream->NextBatch(&batch)) { ... }
 ///   CORGI_RETURN_NOT_OK(stream->status());
-/// Per-tuple (reference) usage replaces the middle line with
-///   while (const Tuple* t = stream->Next()) { ... }
 class TupleStream : public BatchStream {
  public:
-  /// Next tuple of the epoch, or nullptr at epoch end / on error. The
-  /// pointer stays valid until the next call. Check status() after nullptr.
-  /// Must not be interleaved with NextBatch() within one epoch.
-  virtual const Tuple* Next() = 0;
-
-  /// Generic batched pull: loops Next() into *out. Every concrete strategy
-  /// overrides this with a native fill; the fallback keeps third-party
-  /// TupleStream implementations working on the batched pipeline.
-  bool NextBatch(TupleBatch* out) override;
-
   /// Approximate tuples emitted per epoch.
   virtual uint64_t TuplesPerEpoch() const = 0;
 

@@ -32,6 +32,9 @@ Result<Params> Params::Parse(const std::string& text) {
     if (key.empty()) {
       return Status::InvalidArgument("empty key in '" + token + "'");
     }
+    if (p.Has(key)) {
+      return Status::InvalidArgument("duplicate key '" + key + "'");
+    }
     p.Set(key, value);
   }
   return p;

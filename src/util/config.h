@@ -18,7 +18,8 @@ class Params {
   Params() = default;
 
   /// Parses "k1=v1, k2=v2" (comma- or whitespace-separated). Values may not
-  /// contain commas. Empty input is valid.
+  /// contain commas. Empty input is valid; a repeated key is
+  /// kInvalidArgument.
   static Result<Params> Parse(const std::string& text);
 
   void Set(const std::string& key, const std::string& value);

@@ -4,8 +4,7 @@
 // dataloader datasets — carries the same three pieces of state: a static
 // name, a sticky Status, and the corrupt-block quarantine counters with
 // their abort-threshold logic. This header implements them once so the
-// batched pipeline and the per-tuple compatibility adapters stop
-// re-implementing it.
+// stages stop re-implementing it.
 
 #pragma once
 

@@ -1,8 +1,8 @@
 // Golden equivalence suite for the batched execution pipeline (DESIGN.md
-// §9): the batched transport (NextBatch / Batch* kernels) must emit the
-// same tuples in the same order, and produce bit-identical training
-// results, as the per-tuple reference path — for every shuffle strategy,
-// seed, and transport batch size.
+// §9): at every transport batch size the pipeline must emit the same
+// tuples in the same order, and produce bit-identical training results, as
+// the batch-of-one reference (exec_batch_tuples = 1) — for every shuffle
+// strategy, seed, and transport batch size.
 
 #include <gtest/gtest.h>
 
@@ -15,13 +15,14 @@
 #include "db/block_shuffle_op.h"
 #include "db/sgd_op.h"
 #include "db/tuple_shuffle_op.h"
-#include "exec/per_tuple_adapter.h"
 #include "exec/tuple_batch.h"
 #include "iosim/fault_injector.h"
 #include "ml/linear_models.h"
 #include "ml/trainer.h"
 #include "shuffle/tuple_stream.h"
 #include "storage/block_source.h"
+
+#include "drain.h"
 
 namespace corgipile {
 namespace {
@@ -51,27 +52,6 @@ Schema ToySchema(bool dense) {
   return Schema{"toy", dense ? 2u : 8u, !dense, LabelType::kBinary, 2};
 }
 
-std::vector<Tuple> DrainPerTuple(TupleStream* stream, uint64_t epoch) {
-  EXPECT_TRUE(stream->StartEpoch(epoch).ok());
-  std::vector<Tuple> out;
-  while (const Tuple* t = stream->Next()) out.push_back(*t);
-  EXPECT_TRUE(stream->status().ok());
-  return out;
-}
-
-std::vector<Tuple> DrainBatched(TupleStream* stream, uint64_t epoch,
-                                size_t batch_tuples) {
-  EXPECT_TRUE(stream->StartEpoch(epoch).ok());
-  std::vector<Tuple> out;
-  TupleBatch batch(batch_tuples);
-  while (stream->NextBatch(&batch)) {
-    EXPECT_LE(batch.size(), batch_tuples);
-    for (size_t i = 0; i < batch.size(); ++i) out.push_back(batch.ToTuple(i));
-  }
-  EXPECT_TRUE(stream->status().ok());
-  return out;
-}
-
 constexpr ShuffleStrategy kAllStrategies[] = {
     ShuffleStrategy::kNoShuffle,     ShuffleStrategy::kShuffleOnce,
     ShuffleStrategy::kEpochShuffle,  ShuffleStrategy::kSlidingWindow,
@@ -82,10 +62,10 @@ class BatchEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<ShuffleStrategy, uint64_t>> {
 };
 
-// The concatenation of NextBatch batches equals the Next() emission order
-// exactly — tuples, labels, features, everything — at several transport
-// batch sizes, across epochs, for dense and sparse data.
-TEST_P(BatchEquivalenceTest, BatchedOrderMatchesPerTuple) {
+// The concatenation of NextBatch batches equals the batch-of-one emission
+// order exactly — tuples, labels, features, everything — at several
+// transport batch sizes, across epochs, for dense and sparse data.
+TEST_P(BatchEquivalenceTest, BatchedOrderMatchesBatchOfOne) {
   const ShuffleStrategy strategy = std::get<0>(GetParam());
   const uint64_t seed = std::get<1>(GetParam());
   for (bool dense : {true, false}) {
@@ -96,13 +76,13 @@ TEST_P(BatchEquivalenceTest, BatchedOrderMatchesPerTuple) {
     opts.buffer_fraction = 0.1;
     opts.seed = seed;
 
-    // Separate stream instances: the two transports must not interleave on
-    // one stream within an epoch. Same (strategy, seed) → same sequence.
+    // Separate stream instances, one per transport batch size. Same
+    // (strategy, seed) → same sequence.
     auto ref = MakeTupleStream(strategy, &src, opts);
     ASSERT_TRUE(ref.ok());
     std::vector<std::vector<Tuple>> expected;
     for (uint64_t epoch = 0; epoch < 2; ++epoch) {
-      expected.push_back(DrainPerTuple(ref->get(), epoch));
+      expected.push_back(DrainEpoch(ref->get(), epoch, /*batch_tuples=*/1));
       ASSERT_FALSE(expected.back().empty());
     }
 
@@ -110,7 +90,7 @@ TEST_P(BatchEquivalenceTest, BatchedOrderMatchesPerTuple) {
       auto stream = MakeTupleStream(strategy, &src, opts);
       ASSERT_TRUE(stream.ok());
       for (uint64_t epoch = 0; epoch < 2; ++epoch) {
-        const auto got = DrainBatched(stream->get(), epoch, batch_tuples);
+        const auto got = DrainEpoch(stream->get(), epoch, batch_tuples);
         ASSERT_EQ(got.size(), expected[epoch].size())
             << (*stream)->name() << " batch=" << batch_tuples
             << " dense=" << dense;
@@ -121,38 +101,6 @@ TEST_P(BatchEquivalenceTest, BatchedOrderMatchesPerTuple) {
         }
       }
     }
-  }
-}
-
-// PerTupleAdapter over the batched interface reproduces Next() exactly.
-TEST_P(BatchEquivalenceTest, PerTupleAdapterMatchesNext) {
-  const ShuffleStrategy strategy = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
-  auto tuples = ToyData(300, /*dense=*/true);
-  InMemoryBlockSource src(ToySchema(true), tuples, 31);
-  ShuffleOptions opts;
-  opts.buffer_fraction = 0.15;
-  opts.seed = seed;
-
-  auto ref = MakeTupleStream(strategy, &src, opts);
-  auto wrapped = MakeTupleStream(strategy, &src, opts);
-  ASSERT_TRUE(ref.ok());
-  ASSERT_TRUE(wrapped.ok());
-  PerTupleAdapter adapter(wrapped->get(), /*batch_tuples=*/13);
-  for (uint64_t epoch = 0; epoch < 2; ++epoch) {
-    ASSERT_TRUE(ref.ValueOrDie()->StartEpoch(epoch).ok());
-    ASSERT_TRUE(adapter.StartEpoch(epoch).ok());
-    for (;;) {
-      const Tuple* want = ref.ValueOrDie()->Next();
-      const Tuple* got = adapter.Next();
-      if (want == nullptr) {
-        ASSERT_EQ(got, nullptr);
-        break;
-      }
-      ASSERT_NE(got, nullptr);
-      ASSERT_EQ(*got, *want);
-    }
-    EXPECT_TRUE(adapter.status().ok());
   }
 }
 
@@ -194,20 +142,21 @@ TEST(TrainBatchEquivalenceTest, EpochLossesBitIdenticalAcrossBatchSizes) {
   InMemoryBlockSource src(ToySchema(true), tuples, 41);
   for (ShuffleStrategy strategy :
        {ShuffleStrategy::kCorgiPile, ShuffleStrategy::kSlidingWindow}) {
-    auto legacy = TrainToy(strategy, 42, /*exec=*/0, /*batch=*/1,
+    auto reference = TrainToy(strategy, 42, /*exec=*/1, /*batch=*/1,
                            OptimizerKind::kSgd, &src);
-    ASSERT_TRUE(legacy.ok());
+    ASSERT_TRUE(reference.ok());
     for (uint32_t exec : {1u, 7u, 256u}) {
       auto batched = TrainToy(strategy, 42, exec, /*batch=*/1,
                               OptimizerKind::kSgd, &src);
       ASSERT_TRUE(batched.ok());
-      ASSERT_EQ(batched->epochs.size(), legacy->epochs.size());
-      for (size_t e = 0; e < legacy->epochs.size(); ++e) {
-        EXPECT_EQ(batched->epochs[e].train_loss, legacy->epochs[e].train_loss)
+      ASSERT_EQ(batched->epochs.size(), reference->epochs.size());
+      for (size_t e = 0; e < reference->epochs.size(); ++e) {
+        EXPECT_EQ(batched->epochs[e].train_loss,
+                  reference->epochs[e].train_loss)
             << ShuffleStrategyToString(strategy) << " exec=" << exec
             << " epoch=" << e;
         EXPECT_EQ(batched->epochs[e].tuples_seen,
-                  legacy->epochs[e].tuples_seen);
+                  reference->epochs[e].tuples_seen);
       }
     }
   }
@@ -219,15 +168,15 @@ TEST(TrainBatchEquivalenceTest, EpochLossesBitIdenticalAcrossBatchSizes) {
 TEST(TrainBatchEquivalenceTest, MiniBatchAdamBitIdentical) {
   auto tuples = ToyData(500, /*dense=*/true);
   InMemoryBlockSource src(ToySchema(true), tuples, 41);
-  auto legacy = TrainToy(ShuffleStrategy::kCorgiPile, 7, /*exec=*/0,
+  auto reference = TrainToy(ShuffleStrategy::kCorgiPile, 7, /*exec=*/1,
                          /*batch=*/32, OptimizerKind::kAdam, &src);
-  ASSERT_TRUE(legacy.ok());
+  ASSERT_TRUE(reference.ok());
   for (uint32_t exec : {24u, 256u}) {
     auto batched = TrainToy(ShuffleStrategy::kCorgiPile, 7, exec,
                             /*batch=*/32, OptimizerKind::kAdam, &src);
     ASSERT_TRUE(batched.ok());
-    for (size_t e = 0; e < legacy->epochs.size(); ++e) {
-      EXPECT_EQ(batched->epochs[e].train_loss, legacy->epochs[e].train_loss)
+    for (size_t e = 0; e < reference->epochs.size(); ++e) {
+      EXPECT_EQ(batched->epochs[e].train_loss, reference->epochs[e].train_loss)
           << "exec=" << exec << " epoch=" << e;
     }
   }
@@ -239,7 +188,7 @@ TEST(TrainBatchEquivalenceTest, FinalParamsBitIdenticalSparse) {
   auto tuples = ToyData(400, /*dense=*/false);
   InMemoryBlockSource src(ToySchema(false), tuples, 29);
   std::vector<std::vector<double>> params;
-  for (uint32_t exec : {0u, 1u, 64u}) {
+  for (uint32_t exec : {1u, 7u, 64u}) {
     ShuffleOptions sopts;
     sopts.buffer_fraction = 0.1;
     sopts.seed = 13;
@@ -257,9 +206,9 @@ TEST(TrainBatchEquivalenceTest, FinalParamsBitIdenticalSparse) {
   EXPECT_EQ(params[2], params[0]);
 }
 
-// Quarantine accounting: the batched path must count the same quarantined
-// blocks and skipped tuples — and produce the same losses on the surviving
-// data — as the per-tuple path.
+// Quarantine accounting: a wide transport batch must count the same
+// quarantined blocks and skipped tuples — and produce the same losses on
+// the surviving data — as the batch-of-one reference.
 TEST(TrainBatchEquivalenceTest, QuarantineCountsMatch) {
   auto spec = CatalogLookup("susy", 0.05);
   Dataset ds = GenerateDataset(*spec, DataOrder::kClustered);
@@ -289,27 +238,28 @@ TEST(TrainBatchEquivalenceTest, QuarantineCountsMatch) {
     return Train(&model, stream->get(), topts);
   };
 
-  auto legacy = run(0);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  ASSERT_GE(legacy->total_quarantined_blocks, 1u);
+  auto reference = run(1);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GE(reference->total_quarantined_blocks, 1u);
   auto batched = run(128);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   EXPECT_EQ(batched->total_quarantined_blocks,
-            legacy->total_quarantined_blocks);
-  EXPECT_EQ(batched->total_skipped_tuples, legacy->total_skipped_tuples);
-  ASSERT_EQ(batched->epochs.size(), legacy->epochs.size());
-  for (size_t e = 0; e < legacy->epochs.size(); ++e) {
+            reference->total_quarantined_blocks);
+  EXPECT_EQ(batched->total_skipped_tuples, reference->total_skipped_tuples);
+  ASSERT_EQ(batched->epochs.size(), reference->epochs.size());
+  for (size_t e = 0; e < reference->epochs.size(); ++e) {
     EXPECT_EQ(batched->epochs[e].quarantined_blocks,
-              legacy->epochs[e].quarantined_blocks);
+              reference->epochs[e].quarantined_blocks);
     EXPECT_EQ(batched->epochs[e].skipped_tuples,
-              legacy->epochs[e].skipped_tuples);
-    EXPECT_EQ(batched->epochs[e].train_loss, legacy->epochs[e].train_loss);
+              reference->epochs[e].skipped_tuples);
+    EXPECT_EQ(batched->epochs[e].train_loss, reference->epochs[e].train_loss);
   }
 }
 
-// The db operator pipeline (BlockShuffle → TupleShuffle → SgdOp): batched
-// transport through the operators is bit-identical to per-tuple pulls,
-// including through the index-permutation staging shuffle.
+// The db operator pipeline (BlockShuffle → TupleShuffle → SgdOp): every
+// transport batch size through the operators is bit-identical to the
+// single-buffered batch-of-one reference, including through the
+// index-permutation staging shuffle and with double buffering.
 TEST(SgdOpBatchEquivalenceTest, PipelineBitIdentical) {
   auto spec = CatalogLookup("susy", 0.05);
   Dataset ds = GenerateDataset(*spec, DataOrder::kClustered);
@@ -340,20 +290,21 @@ TEST(SgdOpBatchEquivalenceTest, PipelineBitIdentical) {
     return logs.ok() ? *logs : std::vector<EpochLog>{};
   };
 
-  std::vector<double> legacy_params;
-  const auto legacy = run(0, /*double_buffer=*/false, &legacy_params);
-  ASSERT_EQ(legacy.size(), 4u);
+  std::vector<double> reference_params;
+  const auto reference = run(1, /*double_buffer=*/false, &reference_params);
+  ASSERT_EQ(reference.size(), 4u);
   for (uint32_t exec : {1u, 64u}) {
     for (bool dbuf : {false, true}) {
       std::vector<double> params;
       const auto got = run(exec, dbuf, &params);
-      ASSERT_EQ(got.size(), legacy.size());
-      for (size_t e = 0; e < legacy.size(); ++e) {
-        EXPECT_EQ(got[e].train_loss, legacy[e].train_loss)
+      ASSERT_EQ(got.size(), reference.size());
+      for (size_t e = 0; e < reference.size(); ++e) {
+        EXPECT_EQ(got[e].train_loss, reference[e].train_loss)
             << "exec=" << exec << " dbuf=" << dbuf << " epoch=" << e;
-        EXPECT_EQ(got[e].tuples_seen, legacy[e].tuples_seen);
+        EXPECT_EQ(got[e].tuples_seen, reference[e].tuples_seen);
       }
-      EXPECT_EQ(params, legacy_params) << "exec=" << exec << " dbuf=" << dbuf;
+      EXPECT_EQ(params, reference_params)
+          << "exec=" << exec << " dbuf=" << dbuf;
     }
   }
 }

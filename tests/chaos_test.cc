@@ -27,6 +27,8 @@
 #include "serve/inference_engine.h"
 #include "util/rng.h"
 
+#include "drain.h"
+
 namespace corgipile {
 namespace {
 
@@ -365,8 +367,7 @@ TEST(ChannelChaosTest, InjectedSendFailureSurfacesCleanlyWithoutHang) {
     topts.double_buffer = true;  // the producer thread owns the sends
     TupleShuffleOp op(&block_op, topts);
     CORGI_RETURN_NOT_OK(op.Init());
-    uint64_t delivered = 0;
-    while (op.Next() != nullptr) ++delivered;
+    const size_t delivered = DrainRest(&op).size();
     Status st = op.status();
     op.Close();
     EXPECT_LT(delivered, f.ds.train->size()) << sc.Describe();
@@ -395,8 +396,7 @@ TEST(AllocChaosTest, ShuffleBufferAllocationFailureIsACleanError) {
     topts.double_buffer = false;
     TupleShuffleOp op(&block_op, topts);
     CORGI_RETURN_NOT_OK(op.Init());
-    while (op.Next() != nullptr) {
-    }
+    DrainRest(&op);
     Status st = op.status();
     op.Close();
     return st;

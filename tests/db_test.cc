@@ -19,6 +19,8 @@
 #include "dataset/loader.h"
 #include "ml/linear_models.h"
 
+#include "drain.h"
+
 namespace corgipile {
 namespace {
 
@@ -119,6 +121,17 @@ TEST(QueryParserTest, UnknownOptionsAreInvalidArgument) {
                   .ok());
 }
 
+TEST(QueryParserTest, DuplicateOptionsAreInvalidArgument) {
+  auto train =
+      ParseQuery("SELECT * FROM t TRAIN BY lr WITH seed=1, seed=2");
+  ASSERT_TRUE(train.status().IsInvalidArgument()) << train.status().ToString();
+  EXPECT_NE(train.status().ToString().find("seed"), std::string::npos);
+
+  auto load = ParseQuery("LOAD TABLE t FROM '/x' WITH dim=4, shards=2, dim=8");
+  ASSERT_TRUE(load.status().IsInvalidArgument()) << load.status().ToString();
+  EXPECT_NE(load.status().ToString().find("dim"), std::string::npos);
+}
+
 TEST(QueryParserTest, ByteSizes) {
   EXPECT_EQ(ParseByteSize("8192").ValueOrDie(), 8192u);
   EXPECT_EQ(ParseByteSize("64KB").ValueOrDie(), 64u * 1024);
@@ -138,22 +151,17 @@ TEST(BlockShuffleOpTest, EmitsAllTuplesShuffledByBlock) {
   BlockShuffleOp op(f.table.get(), opts);
   ASSERT_TRUE(op.Init().ok());
 
-  std::set<uint64_t> seen;
-  uint64_t count = 0;
-  while (const Tuple* t = op.Next()) {
-    seen.insert(t->id);
-    ++count;
-  }
+  const std::vector<uint64_t> ids = Ids(DrainRest(&op));
   ASSERT_TRUE(op.status().ok());
-  EXPECT_EQ(count, f.ds.train->size());
+  const std::set<uint64_t> seen(ids.begin(), ids.end());
+  EXPECT_EQ(ids.size(), f.ds.train->size());
   EXPECT_EQ(seen.size(), f.ds.train->size());
 
   // ReScan produces a different block order.
-  std::vector<uint64_t> order1, order2;
   ASSERT_TRUE(op.ReScan().ok());
-  while (const Tuple* t = op.Next()) order1.push_back(t->id);
+  const std::vector<uint64_t> order1 = Ids(DrainRest(&op));
   ASSERT_TRUE(op.ReScan().ok());
-  while (const Tuple* t = op.Next()) order2.push_back(t->id);
+  const std::vector<uint64_t> order2 = Ids(DrainRest(&op));
   EXPECT_EQ(order1.size(), order2.size());
   EXPECT_NE(order1, order2);
   op.Close();
@@ -166,9 +174,7 @@ TEST(BlockShuffleOpTest, SequentialModeIsStorageOrder) {
   BlockShuffleOp op(f.table.get(), opts);
   ASSERT_TRUE(op.Init().ok());
   uint64_t expect = 0;
-  while (const Tuple* t = op.Next()) {
-    EXPECT_EQ(t->id, expect++);
-  }
+  for (uint64_t id : Ids(DrainRest(&op))) EXPECT_EQ(id, expect++);
   EXPECT_EQ(expect, f.ds.train->size());
 }
 
@@ -189,13 +195,9 @@ TEST_P(TupleShuffleModeTest, EmitsAllTuplesShuffled) {
   ASSERT_TRUE(op.Init().ok());
 
   for (int epoch = 0; epoch < 3; ++epoch) {
-    std::set<uint64_t> seen;
-    std::vector<uint64_t> order;
-    while (const Tuple* t = op.Next()) {
-      seen.insert(t->id);
-      order.push_back(t->id);
-    }
+    const std::vector<uint64_t> order = Ids(DrainRest(&op));
     ASSERT_TRUE(op.status().ok());
+    const std::set<uint64_t> seen(order.begin(), order.end());
     EXPECT_EQ(seen.size(), f.ds.train->size());
     EXPECT_FALSE(std::is_sorted(order.begin(), order.end()));
     if (epoch < 2) {
@@ -250,8 +252,7 @@ TEST(TupleShuffleOpStressTest, ManyEpochsDoubleBuffered) {
   TupleShuffleOp op(&block_op, topts);
   ASSERT_TRUE(op.Init().ok());
   for (int epoch = 0; epoch < 20; ++epoch) {
-    uint64_t n = 0;
-    while (op.Next() != nullptr) ++n;
+    const size_t n = DrainRest(&op, /*batch_tuples=*/29).size();
     ASSERT_TRUE(op.status().ok());
     ASSERT_EQ(n, f.ds.train->size()) << "epoch " << epoch;
     ASSERT_TRUE(op.ReScan().ok());
@@ -305,11 +306,38 @@ TEST(TupleShuffleOpEarlyCloseTest, ReScanMidStreamRestartsCleanly) {
   ASSERT_TRUE(op.Init().ok());
   for (int i = 0; i < 7; ++i) ASSERT_NE(op.Next(), nullptr);
   ASSERT_TRUE(op.ReScan().ok());  // abandons the in-flight producer
-  uint64_t n = 0;
-  while (op.Next() != nullptr) ++n;
+  const size_t n = DrainRest(&op).size();
   ASSERT_TRUE(op.status().ok());
   EXPECT_EQ(n, f.ds.train->size());  // full fresh epoch after the restart
   op.Close();
+}
+
+TEST(PhysicalOperatorTest, NextPullsTheBatchedOrder) {
+  // The base-class Next() is a one-row NextBatch: pulled tuple by tuple, a
+  // double-buffered pipeline emits exactly its batched sequence.
+  TableFixture f("susy", DataOrder::kClustered, 0.02, "op_next");
+  auto run = [&](bool per_tuple) {
+    BlockShuffleOp::Options bopts;
+    bopts.block_size_bytes = 2 * 2048;
+    BlockShuffleOp block_op(f.table.get(), bopts);
+    TupleShuffleOp::Options topts;
+    topts.buffer_tuples = 50;
+    topts.double_buffer = true;
+    TupleShuffleOp op(&block_op, topts);
+    EXPECT_TRUE(op.Init().ok());
+    std::vector<Tuple> out;
+    if (per_tuple) {
+      while (const Tuple* t = op.Next()) out.push_back(*t);
+    } else {
+      out = DrainRest(&op);
+    }
+    EXPECT_TRUE(op.status().ok());
+    op.Close();
+    return out;
+  };
+  const std::vector<Tuple> batched = run(false);
+  EXPECT_EQ(batched.size(), f.ds.train->size());
+  EXPECT_EQ(run(true), batched);
 }
 
 TEST(ModelStoreTest, PutGetRemove) {

@@ -19,6 +19,8 @@
 #include "ml/serialize.h"
 #include "shuffle/hierarchical.h"
 
+#include "drain.h"
+
 namespace corgipile {
 namespace {
 
@@ -202,10 +204,8 @@ TEST(RecordFileTest, WorksWithCorgiPileStream) {
       MaterializeRecordFile(ds.MakeSchema(), *ds.train, path, 4 * 1024);
   ASSERT_TRUE(source.ok());
   auto stream = MakeCorgiPileStream(source->get(), ds.train->size() / 10, 3);
-  ASSERT_TRUE(stream->StartEpoch(0).ok());
-  std::set<uint64_t> seen;
-  while (const Tuple* t = stream->Next()) seen.insert(t->id);
-  ASSERT_TRUE(stream->status().ok());
+  const std::vector<uint64_t> ids = Ids(DrainEpoch(stream.get(), 0));
+  const std::set<uint64_t> seen(ids.begin(), ids.end());
   EXPECT_EQ(seen.size(), ds.train->size());
   std::remove(path.c_str());
   std::remove((path + ".idx").c_str());
@@ -302,10 +302,9 @@ TEST(StreamAdapterTest, DrivesEpochsThroughVolcanoProtocol) {
   ASSERT_TRUE(stream.ok());
   StreamAdapterOp op(std::move(*stream), std::move(source));
   ASSERT_TRUE(op.Init().ok());
-  std::vector<uint64_t> e0, e1;
-  while (const Tuple* t = op.Next()) e0.push_back(t->id);
+  const std::vector<uint64_t> e0 = Ids(DrainRest(&op));
   ASSERT_TRUE(op.ReScan().ok());
-  while (const Tuple* t = op.Next()) e1.push_back(t->id);
+  const std::vector<uint64_t> e1 = Ids(DrainRest(&op));
   ASSERT_TRUE(op.status().ok());
   EXPECT_EQ(e0.size(), 200u);
   EXPECT_EQ(e1.size(), 200u);

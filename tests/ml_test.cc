@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "dataset/catalog.h"
+#include "exec/tuple_batch.h"
 #include "ml/gridsearch.h"
 #include "ml/linear_models.h"
 #include "ml/metrics.h"
@@ -153,6 +157,106 @@ TEST(ModelTest, SgdStepMatchesAccumulatePlusApply) {
     MlpModel m(3, 4, 2);
     m.InitParams(5);
     check(&m, multi);
+  }
+}
+
+// --- Kernel oracle: batch kernels vs the per-tuple methods ----------------
+//
+// The native BinaryLinearModel batch kernels must reproduce the per-tuple
+// methods bit for bit (EXPECT_EQ on doubles): batch size 1 is the pipeline's
+// golden reference only because a one-row batch step equals SgdStep.
+
+enum class OracleLayout { kDense, kSparse, kMixed };
+
+std::vector<Tuple> OracleRows(OracleLayout layout, uint32_t dim,
+                              bool regression, Rng* rng) {
+  std::vector<Tuple> rows;
+  for (uint64_t i = 0; i < 9; ++i) {
+    const double label = regression ? 2.0 * rng->NextGaussian()
+                                    : (rng->Uniform(2) == 0 ? -1.0 : 1.0);
+    // kMixed cycles full-width dense, half-width dense and sparse rows.
+    const uint64_t kind = layout == OracleLayout::kMixed  ? i % 3
+                          : layout == OracleLayout::kDense ? 0
+                                                            : 2;
+    if (kind < 2) {
+      std::vector<float> values(kind == 0 ? dim : dim / 2);
+      for (float& v : values) v = static_cast<float>(rng->NextGaussian());
+      rows.push_back(MakeDenseTuple(i, label, std::move(values)));
+    } else {
+      std::vector<uint32_t> keys{static_cast<uint32_t>(i % 3),
+                                 4 + static_cast<uint32_t>(i % 5), dim - 1};
+      std::vector<float> values;
+      for (size_t k = 0; k < keys.size(); ++k) {
+        values.push_back(static_cast<float>(rng->NextGaussian()));
+      }
+      rows.push_back(MakeSparseTuple(i, label, std::move(keys),
+                                     std::move(values)));
+    }
+  }
+  return rows;
+}
+
+TEST(KernelOracleTest, BatchKernelsBitEqualPerTupleLoops) {
+  const uint32_t dim = 12;
+  const double lr = 0.05;
+  const double l2 = 1e-2;
+  Rng rng(2026);
+  for (OracleLayout layout :
+       {OracleLayout::kDense, OracleLayout::kSparse, OracleLayout::kMixed}) {
+    std::vector<std::unique_ptr<Model>> models;
+    models.push_back(std::make_unique<LogisticRegression>(dim, l2));
+    models.push_back(std::make_unique<SvmModel>(dim, l2));
+    models.push_back(std::make_unique<LinearRegressionModel>(dim, l2));
+    for (const std::unique_ptr<Model>& model : models) {
+      const bool regression = std::string(model->name()) == "linreg";
+      for (double& p : model->params()) p = 0.5 * rng.NextGaussian();
+      const std::vector<Tuple> rows = OracleRows(layout, dim, regression, &rng);
+      TupleBatch batch;
+      for (const Tuple& t : rows) batch.Append(t);
+      ASSERT_EQ(batch.uniform_dense(), layout == OracleLayout::kDense);
+      const std::string where = std::string(model->name()) + " layout=" +
+                                std::to_string(static_cast<int>(layout));
+
+      // BatchGradientStep vs a loop of SgdStep.
+      std::unique_ptr<Model> stepped = model->Clone();
+      std::unique_ptr<Model> reference = model->Clone();
+      double batch_loss = 0.25, loop_loss = 0.25;
+      stepped->BatchGradientStep(batch, lr, &batch_loss);
+      for (const Tuple& t : rows) loop_loss += reference->SgdStep(t, lr);
+      EXPECT_EQ(stepped->params(), reference->params()) << where;
+      EXPECT_EQ(batch_loss, loop_loss) << where;
+
+      // BatchAccumulateGrad over a sub-range vs a loop of AccumulateGrad.
+      std::vector<double> batch_grad(model->num_params(), 0.0);
+      std::vector<double> loop_grad(model->num_params(), 0.0);
+      batch_loss = loop_loss = 0.25;
+      model->BatchAccumulateGrad(batch, 2, rows.size() - 1, &batch_grad,
+                                 &batch_loss);
+      for (size_t i = 2; i < rows.size() - 1; ++i) {
+        loop_loss += model->AccumulateGrad(rows[i], &loop_grad);
+      }
+      EXPECT_EQ(batch_grad, loop_grad) << where;
+      EXPECT_EQ(batch_loss, loop_loss) << where;
+
+      // BatchLoss vs a loop of Loss.
+      batch_loss = loop_loss = 0.25;
+      model->BatchLoss(batch, &batch_loss);
+      for (const Tuple& t : rows) loop_loss += model->Loss(t);
+      EXPECT_EQ(batch_loss, loop_loss) << where;
+
+      // BatchEvaluate vs Predict / Loss / Correct.
+      std::vector<double> predictions(rows.size()), losses(rows.size());
+      std::vector<uint8_t> corrects(rows.size());
+      model->BatchEvaluate(batch, predictions.data(), losses.data(),
+                           corrects.data());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(predictions[i], model->Predict(rows[i]))
+            << where << " " << i;
+        EXPECT_EQ(losses[i], model->Loss(rows[i])) << where << " " << i;
+        EXPECT_EQ(corrects[i] != 0, model->Correct(rows[i]))
+            << where << " " << i;
+      }
+    }
   }
 }
 

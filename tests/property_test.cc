@@ -23,6 +23,8 @@
 #include "shuffle/tuple_stream.h"
 #include "util/rng.h"
 
+#include "drain.h"
+
 namespace corgipile {
 namespace {
 
@@ -51,12 +53,10 @@ TEST_P(PermutationProperty, EpochIsPermutation) {
   auto stream = MakeTupleStream(strategy, &src, opts);
   ASSERT_TRUE(stream.ok());
   for (uint64_t epoch = 0; epoch < 2; ++epoch) {
-    ASSERT_TRUE((*stream)->StartEpoch(epoch).ok());
     std::set<uint64_t> seen;
-    while (const Tuple* t = (*stream)->Next()) {
-      EXPECT_TRUE(seen.insert(t->id).second) << "duplicate id " << t->id;
+    for (uint64_t id : Ids(DrainEpoch(stream->get(), epoch))) {
+      EXPECT_TRUE(seen.insert(id).second) << "duplicate id " << id;
     }
-    ASSERT_TRUE((*stream)->status().ok());
     EXPECT_EQ(seen.size(), n);
   }
 }
@@ -264,7 +264,7 @@ TEST_P(ShardingProperty, ShardsPartitionAndCover) {
     for (uint32_t b : ds.assigned_blocks()) {
       EXPECT_TRUE(all_blocks.insert(b).second);
     }
-    while (const Tuple* t = ds.Next()) all_ids.insert(t->id);
+    for (uint64_t id : Ids(DrainRest(&ds))) all_ids.insert(id);
     ASSERT_TRUE(ds.status().ok());
   }
   EXPECT_EQ(all_blocks.size(), src.num_blocks());

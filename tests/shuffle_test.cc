@@ -13,6 +13,8 @@
 #include "shuffle/tuple_stream.h"
 #include "util/stats.h"
 
+#include "drain.h"
+
 namespace corgipile {
 namespace {
 
@@ -27,15 +29,6 @@ std::shared_ptr<std::vector<Tuple>> ClusteredToy(size_t n) {
 }
 
 Schema ToySchema() { return Schema{"toy", 1, false, LabelType::kBinary, 2}; }
-
-// Drains one epoch, returning emitted tuple ids.
-std::vector<uint64_t> DrainEpoch(TupleStream* stream, uint64_t epoch) {
-  EXPECT_TRUE(stream->StartEpoch(epoch).ok());
-  std::vector<uint64_t> ids;
-  while (const Tuple* t = stream->Next()) ids.push_back(t->id);
-  EXPECT_TRUE(stream->status().ok());
-  return ids;
-}
 
 // Mean normalized displacement |position - id| / n: ~0 for unshuffled,
 // ~1/3 for a uniform permutation.
@@ -61,7 +54,7 @@ TEST_P(StrategyStreamTest, EmitsEveryTupleExactlyOncePerEpoch) {
   auto stream = MakeTupleStream(GetParam(), &src, opts);
   ASSERT_TRUE(stream.ok());
   for (uint64_t epoch = 0; epoch < 3; ++epoch) {
-    auto ids = DrainEpoch(stream->get(), epoch);
+    auto ids = Ids(DrainEpoch(stream->get(), epoch));
     ASSERT_EQ(ids.size(), n) << (*stream)->name();
     std::set<uint64_t> uniq(ids.begin(), ids.end());
     EXPECT_EQ(uniq.size(), n) << (*stream)->name();
@@ -82,10 +75,10 @@ TEST(NoShuffleTest, PreservesStorageOrder) {
   auto tuples = ClusteredToy(200);
   InMemoryBlockSource src(ToySchema(), tuples, 20);
   auto stream = MakeNoShuffleStream(&src);
-  auto ids = DrainEpoch(stream.get(), 0);
+  auto ids = Ids(DrainEpoch(stream.get(), 0));
   for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
   // Identical across epochs.
-  EXPECT_EQ(DrainEpoch(stream.get(), 1), ids);
+  EXPECT_EQ(Ids(DrainEpoch(stream.get(), 1)), ids);
 }
 
 TEST(BlockOnlyTest, BlocksPermutedTuplesInOrderWithinBlock) {
@@ -93,7 +86,7 @@ TEST(BlockOnlyTest, BlocksPermutedTuplesInOrderWithinBlock) {
   auto tuples = ClusteredToy(n);
   InMemoryBlockSource src(ToySchema(), tuples, b);
   auto stream = MakeBlockOnlyStream(&src, 77);
-  auto ids = DrainEpoch(stream.get(), 0);
+  auto ids = Ids(DrainEpoch(stream.get(), 0));
   ASSERT_EQ(ids.size(), n);
   // Within each consecutive run of b, ids are consecutive and block-aligned.
   std::vector<uint64_t> block_starts;
@@ -115,7 +108,7 @@ TEST(CorgiPileTest, ShufflesWithinBufferSpan) {
   auto tuples = ClusteredToy(n);
   InMemoryBlockSource src(ToySchema(), tuples, b);
   auto stream = MakeCorgiPileStream(&src, /*buffer_tuples=*/200, 99);
-  auto ids = DrainEpoch(stream.get(), 0);
+  auto ids = Ids(DrainEpoch(stream.get(), 0));
   ASSERT_EQ(ids.size(), n);
   // Each emitted buffer chunk of 200 tuples must consist of exactly 4 whole
   // blocks' ids, in shuffled order.
@@ -132,8 +125,8 @@ TEST(CorgiPileTest, DifferentEpochsDifferentOrder) {
   auto tuples = ClusteredToy(500);
   InMemoryBlockSource src(ToySchema(), tuples, 25);
   auto stream = MakeCorgiPileStream(&src, 100, 5);
-  auto e0 = DrainEpoch(stream.get(), 0);
-  auto e1 = DrainEpoch(stream.get(), 1);
+  auto e0 = Ids(DrainEpoch(stream.get(), 0));
+  auto e1 = Ids(DrainEpoch(stream.get(), 1));
   EXPECT_NE(e0, e1);
 }
 
@@ -141,7 +134,7 @@ TEST(CorgiPileTest, SampledEpochVisitsOnlyNBlocks) {
   auto tuples = ClusteredToy(500);
   InMemoryBlockSource src(ToySchema(), tuples, 25);  // 20 blocks
   auto stream = MakeCorgiPileStream(&src, 100, 5, /*blocks_per_epoch=*/4);
-  auto ids = DrainEpoch(stream.get(), 0);
+  auto ids = Ids(DrainEpoch(stream.get(), 0));
   EXPECT_EQ(ids.size(), 100u);  // 4 blocks × 25 tuples
   std::set<uint64_t> blocks;
   for (uint64_t id : ids) blocks.insert(id / 25);
@@ -154,7 +147,7 @@ TEST(CorgiPileTest, DisplacementNearFullShuffleWithLargeBuffer) {
   InMemoryBlockSource src(ToySchema(), tuples, 40);
   // Buffer = whole dataset → one buffer, full shuffle.
   auto stream = MakeCorgiPileStream(&src, n, 3);
-  auto ids = DrainEpoch(stream.get(), 0);
+  auto ids = Ids(DrainEpoch(stream.get(), 0));
   EXPECT_GT(MeanDisplacement(ids), 0.25);  // uniform permutation ≈ 1/3
 }
 
@@ -167,7 +160,7 @@ TEST(SlidingWindowTest, NearlyLinearIdDistribution) {
   opts.buffer_fraction = 0.1;
   auto stream = MakeTupleStream(ShuffleStrategy::kSlidingWindow, &src, opts);
   ASSERT_TRUE(stream.ok());
-  auto ids = DrainEpoch(stream->get(), 0);
+  auto ids = Ids(DrainEpoch(stream->get(), 0));
   ASSERT_EQ(ids.size(), n);
   std::vector<double> pos(n), val(n);
   for (size_t i = 0; i < n; ++i) {
@@ -188,7 +181,7 @@ TEST(MrsTest, EmitsDroppedPlusLoopedTuples) {
   opts.mrs_loop_ratio = 1.0;
   auto stream = MakeTupleStream(ShuffleStrategy::kMrs, &src, opts);
   ASSERT_TRUE(stream.ok());
-  auto ids = DrainEpoch(stream->get(), 0);
+  auto ids = Ids(DrainEpoch(stream->get(), 0));
   // 900 dropped + ~900 looped.
   EXPECT_GT(ids.size(), 1500u);
   EXPECT_LE(ids.size(), 1900u);
@@ -211,7 +204,7 @@ TEST(MrsTest, ZeroLoopRatioEmitsOnlyDropped) {
   opts.mrs_loop_ratio = 0.0;
   auto stream = MakeTupleStream(ShuffleStrategy::kMrs, &src, opts);
   ASSERT_TRUE(stream.ok());
-  auto ids = DrainEpoch(stream->get(), 0);
+  auto ids = Ids(DrainEpoch(stream->get(), 0));
   EXPECT_EQ(ids.size(), n - 100);  // everything except the final reservoir
   std::set<uint64_t> uniq(ids.begin(), ids.end());
   EXPECT_EQ(uniq.size(), ids.size());
@@ -224,8 +217,8 @@ TEST(EpochShuffleTest, FullUniformEveryEpoch) {
   ShuffleOptions opts;
   auto stream = MakeTupleStream(ShuffleStrategy::kEpochShuffle, &src, opts);
   ASSERT_TRUE(stream.ok());
-  auto e0 = DrainEpoch(stream->get(), 0);
-  auto e1 = DrainEpoch(stream->get(), 1);
+  auto e0 = Ids(DrainEpoch(stream->get(), 0));
+  auto e1 = Ids(DrainEpoch(stream->get(), 1));
   EXPECT_NE(e0, e1);
   EXPECT_GT(MeanDisplacement(e0), 0.25);
   EXPECT_GT(MeanDisplacement(e1), 0.25);
@@ -238,8 +231,8 @@ TEST(ShuffleOnceTest, SameShuffledOrderEveryEpoch) {
   ShuffleOptions opts;
   auto stream = MakeTupleStream(ShuffleStrategy::kShuffleOnce, &src, opts);
   ASSERT_TRUE(stream.ok());
-  auto e0 = DrainEpoch(stream->get(), 0);
-  auto e1 = DrainEpoch(stream->get(), 1);
+  auto e0 = Ids(DrainEpoch(stream->get(), 0));
+  auto e1 = Ids(DrainEpoch(stream->get(), 1));
   EXPECT_EQ(e0, e1);  // shuffled once, then fixed
   EXPECT_GT(MeanDisplacement(e0), 0.25);
 }
@@ -265,7 +258,7 @@ TEST(ShuffleOnceTest, TableBackedCreatesCopyWithOverhead) {
   auto stream = MakeTupleStream(ShuffleStrategy::kShuffleOnce, &src, opts);
   ASSERT_TRUE(stream.ok());
 
-  auto ids = DrainEpoch(stream->get(), 0);
+  auto ids = Ids(DrainEpoch(stream->get(), 0));
   EXPECT_EQ(ids.size(), ds.train->size());
   // The copy costs 2x disk and an external-sort-sized chunk of simulated
   // time (~2 reads + 2 writes of the table).

@@ -261,6 +261,16 @@ TEST(ParamsTest, ParseErrors) {
   EXPECT_TRUE(Params::Parse("").ok());
 }
 
+TEST(ParamsTest, DuplicateKeyIsInvalidArgument) {
+  // The last value must not silently win: a repeated key is an error that
+  // names the key.
+  auto p = Params::Parse("seed=1, lr=0.1, seed=2");
+  ASSERT_TRUE(p.status().IsInvalidArgument()) << p.status().ToString();
+  EXPECT_NE(p.status().ToString().find("'seed'"), std::string::npos);
+  // Keys are case-sensitive, so differently cased keys are distinct.
+  EXPECT_TRUE(Params::Parse("seed=1, Seed=2").ok());
+}
+
 TEST(LoggingTest, LevelFilteringAndFormatting) {
   const LogLevel original = GetLogLevel();
   SetLogLevel(LogLevel::kError);
