@@ -518,6 +518,27 @@ Result<InDbTrainResult> Database::Train(const TrainStatement& stmt) {
   // The candidate still lives on the local `model`; nothing below stores it
   // until the gate has passed, so a rejected candidate is never reachable
   // through ModelStore::GetSnapshot under any servable id.
+  const bool lifecycle = validate || canary_fraction > 0.0;
+  std::shared_ptr<const Model> incumbent;
+  if (lifecycle && !publish_id.empty()) {
+    auto current = models_.Get(publish_id);
+    if (current.ok()) incumbent = std::move(current).ValueOrDie();
+  }
+  if (incumbent != nullptr) {
+    // The gate and the canary score both models on the same rows, so they
+    // must agree on the feature width (0 = unknown); a plain publish
+    // hot-swap has no such comparison and may change it.
+    const uint32_t incumbent_dim = incumbent->input_dim();
+    const uint32_t candidate_dim = model->input_dim();
+    if (incumbent_dim != 0 && candidate_dim != 0 &&
+        incumbent_dim != candidate_dim) {
+      return Status::InvalidArgument(
+          "publish=" + publish_id + ": candidate input_dim " +
+          std::to_string(candidate_dim) + " differs from the incumbent's " +
+          std::to_string(incumbent_dim) +
+          "; validate/canary_fraction need equal widths");
+    }
+  }
   if (validate) {
     std::vector<Tuple> holdout;
     if (entry.test_set != nullptr && !entry.test_set->empty()) {
@@ -529,11 +550,6 @@ Result<InDbTrainResult> Database::Train(const TrainStatement& stmt) {
       CORGI_RETURN_NOT_OK(CollectForRead(table->Snapshot(), &pool));
       holdout = SampleHoldout(pool, holdout_fraction,
                               static_cast<uint64_t>(seed) ^ 0x401D07);
-    }
-    std::shared_ptr<const Model> incumbent;
-    if (!publish_id.empty()) {
-      auto current = models_.Get(publish_id);
-      if (current.ok()) incumbent = std::move(current).ValueOrDie();
     }
     ValidationThresholds thresholds;
     thresholds.min_metric = validate_min_metric;
@@ -551,7 +567,6 @@ Result<InDbTrainResult> Database::Train(const TrainStatement& stmt) {
       return result;  // candidate dies with this scope; incumbent unchanged
     }
   }
-  const bool lifecycle = validate || canary_fraction > 0.0;
   if (canary_fraction > 0.0 && models_.GetVersion(publish_id).ok()) {
     CanaryPolicy policy;
     policy.fraction = canary_fraction;
@@ -594,37 +609,38 @@ Result<InDbPredictResult> Database::Predict(const PredictStatement& stmt) {
         stmt.model_id + "' expects " + std::to_string(model_dim));
   }
 
-  // Route the scan through the serving engine: the table is replayed as a
-  // generated all-at-once arrival schedule, so the resulting ServeStats
-  // are deterministic and batching/queueing are exercised on every
-  // PREDICT BY — not just in bench_serve_sweep.
-  ServeOptions opts = serve_options_;
-  opts.flush_on_idle = false;  // scheduler timing from arrival stamps only
-  opts.clock = &clock_;
-  InferenceEngine engine(&models_, opts);
-  CORGI_RETURN_NOT_OK(engine.Start());
-
   // Snapshot scan — no global lock. Concurrent TRAIN/INSERT sessions never
   // block this read and never change what it sees.
   std::vector<Tuple> tuples;
   CORGI_RETURN_NOT_OK(CollectForRead(table->Snapshot(), &tuples));
 
-  std::vector<std::future<ServeReply>> futures;
-  futures.reserve(tuples.size());
-  for (const Tuple& t : tuples) {
+  // Route the scan through the serving engine: the table is replayed as a
+  // generated all-at-once arrival schedule, so the resulting ServeStats
+  // are deterministic and batching/queueing are exercised on every
+  // PREDICT BY — not just in bench_serve_sweep. The schedule is complete
+  // before the first arrival, so Run() replays it on this thread.
+  std::vector<double> labels;
+  std::vector<ServeRequest> requests;
+  labels.reserve(tuples.size());
+  requests.reserve(tuples.size());
+  for (Tuple& t : tuples) {
+    labels.push_back(t.label);
     ServeRequest req;
-    req.tuple = t;
+    req.tuple = std::move(t);
     req.model_id = stmt.model_id;
-    req.arrival_s = 0.0;
-    futures.push_back(engine.Submit(std::move(req)));
+    requests.push_back(std::move(req));
   }
-  CORGI_RETURN_NOT_OK(engine.Drain());
+  ServeOptions opts = serve_options_;
+  opts.clock = &clock_;
+  InferenceEngine engine(&models_, opts);
+  CORGI_ASSIGN_OR_RETURN(std::vector<ServeReply> replies,
+                         engine.Run(std::move(requests)));
 
   EvalAccumulator acc;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    ServeReply reply = futures[i].get();
+  for (size_t i = 0; i < replies.size(); ++i) {
+    const ServeReply& reply = replies[i];
     CORGI_RETURN_NOT_OK(reply.status);
-    acc.Add(tuples[i].label, reply.value, reply.loss, reply.correct);
+    acc.Add(labels[i], reply.value, reply.loss, reply.correct);
   }
   const EvalResult eval = acc.Finalize(entry->label_type);
 

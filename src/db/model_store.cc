@@ -149,6 +149,17 @@ Result<uint64_t> ModelStore::StageCanary(const std::string& id,
         std::to_string(policy.fraction));
   }
   Entry& entry = it->second;
+  // The canary pairs both models on the same rows: they must agree on the
+  // feature width (0 = unknown, accepted), or one reads past its weights.
+  const uint32_t incumbent_dim = entry.model->input_dim();
+  const uint32_t candidate_dim = model->input_dim();
+  if (incumbent_dim != 0 && candidate_dim != 0 &&
+      incumbent_dim != candidate_dim) {
+    return Status::InvalidArgument(
+        "canary for model '" + id + "' has input_dim " +
+        std::to_string(candidate_dim) + " but the incumbent has " +
+        std::to_string(incumbent_dim));
+  }
   CanarySnapshot staged;
   staged.model = std::shared_ptr<const Model>(std::move(model));
   staged.version = entry.next_version;

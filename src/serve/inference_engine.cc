@@ -40,7 +40,6 @@ InferenceEngine::InferenceEngine(ModelStore* store, ServeOptions options)
           64, options_.max_queue_depth == 0 ? 1024
                                             : 2 * options_.max_queue_depth)),
       batches_(2 * std::max<uint32_t>(1, options_.num_workers)),
-      pool_(std::max<uint32_t>(1, options_.num_workers)),
       worker_free_s_(std::max<uint32_t>(1, options_.num_workers), 0.0) {
   // Chaos hook: scripted send failures on the scheduler→worker channel
   // surface as per-item errors, never as wrong answers (tests/chaos_test).
@@ -51,33 +50,65 @@ InferenceEngine::~InferenceEngine() {
   // Destructor cannot propagate the Status; Drain() here only exists to
   // fulfill pending promises, and its failure modes (never started /
   // already drained) are exactly the states the guard excludes.
-  if (started_ && !drained_) (void)Drain();
+  if (mode_ == Mode::kThreaded && !drained_) (void)Drain();
+}
+
+Result<std::vector<ServeReply>> InferenceEngine::Run(
+    std::vector<ServeRequest> requests) {
+  if (mode_ == Mode::kThreaded) {
+    return Status::Internal("InferenceEngine::Run after Start");
+  }
+  if (mode_ == Mode::kInline) {
+    return Status::Internal("InferenceEngine::Run called twice");
+  }
+  mode_ = Mode::kInline;
+  // No scheduler thread will ever read intake: a later Submit() fails.
+  intake_.Close();
+
+  std::vector<ServeReply> replies(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ProcessArrival(Pending{std::move(requests[i]), &replies[i]});
+  }
+  // End of schedule: the open batch waits out its deadline, exactly as the
+  // threaded scheduler does with flush_on_idle = false. Every request has
+  // been answered once it closes.
+  CloseOpenBatch(open_time_ + options_.batch_deadline_s,
+                 /*by_deadline=*/true);
+  return replies;
 }
 
 Status InferenceEngine::Start() {
-  if (started_) return Status::Internal("InferenceEngine started twice");
-  started_ = true;
-  scheduler_ = std::thread([this] { SchedulerLoop(); });
+  if (mode_ == Mode::kThreaded) {
+    return Status::Internal("InferenceEngine started twice");
+  }
+  if (mode_ == Mode::kInline) {
+    return Status::Internal("InferenceEngine::Start after Run");
+  }
+  mode_ = Mode::kThreaded;
   const size_t workers = worker_free_s_.size();
+  pool_ = std::make_unique<ThreadPool>(workers);
+  scheduler_ = std::thread([this] { SchedulerLoop(); });
   worker_done_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    worker_done_.push_back(pool_.Submit([this] { WorkerLoop(); }));
+    worker_done_.push_back(pool_->Submit([this] { WorkerLoop(); }));
   }
   return Status::OK();
 }
 
 std::future<ServeReply> InferenceEngine::Submit(ServeRequest req) {
-  Pending p;
-  p.req = std::move(req);
-  std::future<ServeReply> fut = p.promise.get_future();
+  Pending p{std::move(req), std::promise<ServeReply>()};
+  std::future<ServeReply> fut =
+      std::get<std::promise<ServeReply>>(p.reply).get_future();
   Status st = PushBlocking(intake_, p);
   if (!st.ok()) Fail(std::move(p), std::move(st));
   return fut;
 }
 
 Status InferenceEngine::Drain() {
-  if (!started_) return Status::Internal("InferenceEngine never started");
-  if (drained_) return Status::OK();
+  if (mode_ == Mode::kIdle) {
+    return Status::Internal("InferenceEngine never started");
+  }
+  if (mode_ == Mode::kInline || drained_) return Status::OK();
   drained_ = true;
   intake_.Close();
   if (scheduler_.joinable()) scheduler_.join();
@@ -90,10 +121,18 @@ ServeStats InferenceEngine::stats() const {
   return stats_.Finalize();
 }
 
+void InferenceEngine::Answer(Pending* p, ServeReply reply) {
+  if (ServeReply** slot = std::get_if<ServeReply*>(&p->reply)) {
+    **slot = std::move(reply);
+  } else {
+    std::get<std::promise<ServeReply>>(p->reply).set_value(std::move(reply));
+  }
+}
+
 void InferenceEngine::Fail(Pending&& p, Status status) {
   ServeReply reply;
   reply.status = std::move(status);
-  p.promise.set_value(std::move(reply));
+  Answer(&p, std::move(reply));
 }
 
 void InferenceEngine::SchedulerLoop() {
@@ -430,15 +469,16 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
   if (options_.clock != nullptr) {
     options_.clock->Advance(TimeCategory::kServe, service_s);
   }
+  batch_latencies_.clear();
+  for (const Pending& item : run) {
+    batch_latencies_.push_back(completion_s - item.req.arrival_s);
+  }
   {
     MutexLock lock(stats_mu_);
     stats_.RecordBatch(run.size(), by_deadline, service_s);
     if (brownout) stats_.RecordBrownoutBatch(run.size());
-    for (const Pending& item : run) {
-      stats_.RecordCompletion(open_model_id_, serving.version,
-                              completion_s - item.req.arrival_s,
-                              completion_s);
-    }
+    stats_.RecordCompletions(open_model_id_, serving.version, completion_s,
+                             batch_latencies_);
   }
 
   batch.model = serving.model;
@@ -447,6 +487,10 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
   batch.canary = canary;
   batch.completion_s = completion_s;
   batch.items = std::move(run);
+  if (mode_ == Mode::kInline) {
+    ExecuteBatch(&batch, &inline_scratch_);
+    return;
+  }
   Status st = PushBlocking(batches_, batch);
   if (!st.ok()) {
     for (auto& item : batch.items) Fail(std::move(item), st);
@@ -454,44 +498,47 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
 }
 
 void InferenceEngine::WorkerLoop() {
-  std::vector<double> values;
-  std::vector<double> losses;
-  std::vector<uint8_t> corrects;
+  EvalScratch scratch;
   for (;;) {
     Batch batch;
     auto popped = batches_.Pop(&batch);
     if (!popped.ok() || !*popped) return;
-    const size_t n = batch.items.size();
-    values.resize(n);
-    losses.resize(n);
-    corrects.resize(n);
-    // One batched kernel call per micro-batch; BatchEvaluate is const and
-    // thread-safe on the shared snapshot.
-    batch.model->BatchEvaluate(batch.tuples, values.data(), losses.data(),
-                               corrects.data());
-    // Per-version quality: summed row-major here (deterministic within the
-    // batch), folded in dispatch order by ServeStatsBuilder::Finalize so
-    // worker interleaving never changes the totals.
-    uint64_t correct_count = 0;
-    double loss_sum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      correct_count += corrects[i] != 0 ? 1 : 0;
-      loss_sum += losses[i];
-    }
-    {
-      MutexLock lock(stats_mu_);
-      stats_.RecordBatchQuality(batch.seq, batch.model_id, batch.version, n,
-                                correct_count, loss_sum);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      ServeReply reply;
-      reply.value = values[i];
-      reply.loss = losses[i];
-      reply.correct = corrects[i] != 0;
-      reply.model_version = batch.version;
-      reply.latency_s = batch.completion_s - batch.items[i].req.arrival_s;
-      batch.items[i].promise.set_value(std::move(reply));
-    }
+    ExecuteBatch(&batch, &scratch);
+  }
+}
+
+void InferenceEngine::ExecuteBatch(Batch* batch, EvalScratch* scratch) {
+  const size_t n = batch->items.size();
+  scratch->values.resize(n);
+  scratch->losses.resize(n);
+  scratch->corrects.resize(n);
+  // One batched kernel call per micro-batch; BatchEvaluate is const and
+  // thread-safe on the shared snapshot.
+  batch->model->BatchEvaluate(batch->tuples, scratch->values.data(),
+                              scratch->losses.data(),
+                              scratch->corrects.data());
+  // Per-version quality: summed row-major here (deterministic within the
+  // batch), folded in dispatch order by ServeStatsBuilder::Finalize so
+  // worker interleaving never changes the totals.
+  uint64_t correct_count = 0;
+  double loss_sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    correct_count += scratch->corrects[i] != 0 ? 1 : 0;
+    loss_sum += scratch->losses[i];
+  }
+  {
+    MutexLock lock(stats_mu_);
+    stats_.RecordBatchQuality(batch->seq, batch->model_id, batch->version, n,
+                              correct_count, loss_sum);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ServeReply reply;
+    reply.value = scratch->values[i];
+    reply.loss = scratch->losses[i];
+    reply.correct = scratch->corrects[i] != 0;
+    reply.model_version = batch->version;
+    reply.latency_s = batch->completion_s - batch->items[i].req.arrival_s;
+    Answer(&batch->items[i], std::move(reply));
   }
 }
 

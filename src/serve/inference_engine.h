@@ -1,36 +1,49 @@
 // Micro-batched in-database model serving (the online half of the paper's
 // §6.1 in-kernel models; ROADMAP "heavy traffic" north star).
 //
-// Architecture — three stages connected by Channels, mirroring DESIGN.md §8:
+// One engine serves requests in one of two ways, chosen by the first call
+// (each engine is used once, one way):
 //
-//   sessions --Submit()--> intake Channel --> scheduler thread
-//       --Batch Channel--> ThreadPool workers --promise--> sessions
+//  * Inline replay — Run(): a complete generated schedule is replayed on
+//    the calling thread. Each arrival goes through the scheduler's
+//    decision code below, each closed batch is evaluated right there, and
+//    each reply is written straight into the returned vector. No thread is
+//    started and nothing crosses a Channel, a ThreadPool or a promise.
+//    PREDICT BY and RunGeneratedWorkload use this path.
+//  * Live sessions — Start()/Submit()/Drain(): three stages connected by
+//    Channels, mirroring DESIGN.md §8:
 //
-// The *scheduler* is the deterministic heart: a single thread that pops
-// requests in FIFO order, advances a virtual timeline (simulated seconds,
-// same convention as SimClock/Deadline), forms micro-batches (close when
-// `max_batch` tuples are buffered or when the next arrival shows the
-// `batch_deadline_s` has passed, whichever first), applies admission
-// control (shed with kResourceExhausted once the modeled queue holds
-// `max_queue_depth` requests), per-request deadlines and cancellation
-// (util/cancellation.h tokens), resolves the model snapshot from the
-// versioned ModelStore (hot-swap boundary: a batch formed before a
-// Publish() keeps serving the old version), and assigns each batch to the
-// first-free of `num_workers` simulated service slots with
+//      sessions --Submit()--> intake Channel --> scheduler thread
+//          --Batch Channel--> ThreadPool workers --promise--> sessions
+//
+// The *scheduler* is the deterministic heart on both paths: code that
+// takes requests in FIFO order, advances a virtual timeline (simulated
+// seconds, same convention as SimClock/Deadline), forms micro-batches
+// (close when `max_batch` tuples are buffered or when the next arrival
+// shows the `batch_deadline_s` has passed, whichever first), applies
+// admission control (shed with kResourceExhausted once the modeled queue
+// holds `max_queue_depth` requests), per-request deadlines and
+// cancellation (util/cancellation.h tokens), resolves the model snapshot
+// from the versioned ModelStore (hot-swap boundary: a batch formed before
+// a Publish() keeps serving the old version), and assigns each batch to
+// the first-free of `num_workers` simulated service slots with
 // service = per_batch_overhead_s + n · per_tuple_s.
 //
-// Because every timing decision reads only generated arrival stamps and
-// this deterministic service model — never the wall clock — the ServeStats
+// Because every timing decision reads only arrival stamps and this
+// deterministic service model — never the wall clock — the ServeStats
 // produced for a given (schedule, options, store) are bit-identical across
-// reruns. The *execution* of a batch (Model::Predict/Loss/Correct) runs
-// for real on the ThreadPool workers; their wall-time interleaving cannot
-// affect the stats, only when each promise is fulfilled.
+// reruns, and Run() produces the same ServeStats and replies as a
+// threaded replay with flush_on_idle = false. Batch *execution*
+// (Model::BatchEvaluate) cannot affect the stats: inline it runs before
+// the next arrival, threaded it runs on the ThreadPool workers and only
+// decides when each promise is fulfilled.
 //
-// Liveness modes:
-//  * flush_on_idle = false (generated schedules, the SQL PREDICT path):
-//    the scheduler blocks for the next request before deciding whether the
+// Liveness modes of the threaded path:
+//  * flush_on_idle = false (threaded replay of a generated schedule): the
+//    scheduler blocks for the next request before deciding whether the
 //    open batch's deadline passed — fully deterministic, but a partial
-//    batch only closes on the next arrival or Drain().
+//    batch only closes on the next arrival or Drain(). Run() always
+//    behaves this way.
 //  * flush_on_idle = true (live concurrent sessions): an empty intake
 //    queue closes the open batch immediately, so a session that submits
 //    one request and waits on its future is never stalled behind an open
@@ -45,6 +58,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "db/model_store.h"
@@ -79,7 +93,9 @@ struct ServeOptions {
   /// micro-batching amortizes.
   double per_batch_overhead_s = 1e-3;
   double per_tuple_s = 5e-5;
-  /// See the header comment; false for bit-identical generated schedules.
+  /// Start()/Submit() only (Run() ignores it): close a partial batch as
+  /// soon as the intake queue is empty. See the header comment; false for
+  /// a bit-identical threaded replay of a generated schedule.
   bool flush_on_idle = true;
   /// Optional: batch service time is charged here under kServe. Borrowed.
   SimClock* clock = nullptr;
@@ -129,8 +145,9 @@ struct ServeRequest {
   double deadline_s = 0.0;
   /// Cooperative cancellation; checked at admission and batch formation.
   CancellationToken token;
-  /// Optional control hook, run on the scheduler thread when it processes
-  /// this arrival (before any batching decision). Because the scheduler
+  /// Optional control hook, run by the scheduler when it processes this
+  /// arrival (before any batching decision): on the scheduler thread after
+  /// Submit(), on the caller's thread in Run(). Because the scheduler
   /// serializes arrivals in submission order, a side effect here — e.g. a
   /// ModelStore::Publish hot-swap drill — lands at a deterministic point
   /// in the timeline instead of racing batch formation from the submitter
@@ -157,7 +174,16 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  /// Spawns the scheduler thread and worker loops. Call once.
+  /// Replays `requests` (a complete schedule, in arrival order) on the
+  /// calling thread and returns one reply per request, in request order.
+  /// Makes exactly the decisions of Start()/Submit()/Drain() with
+  /// flush_on_idle = false, evaluating each closed batch inline; the tail
+  /// batch closes at its deadline. Creates no thread. Fails if the engine
+  /// was already Start()ed or Run().
+  Result<std::vector<ServeReply>> Run(std::vector<ServeRequest> requests);
+
+  /// Spawns the scheduler thread and worker loops (the only place the
+  /// engine creates threads). Call once, and not after Run().
   Status Start();
 
   /// Thread-safe; callable from any number of session threads. The reply
@@ -167,7 +193,7 @@ class InferenceEngine {
   std::future<ServeReply> Submit(ServeRequest req);
 
   /// Closes intake, waits until every submitted request has been answered
-  /// and all threads have stopped. Idempotent.
+  /// and all threads have stopped. Idempotent; a no-op after Run().
   Status Drain();
 
   /// Snapshot; stable after Drain().
@@ -178,7 +204,10 @@ class InferenceEngine {
  private:
   struct Pending {
     ServeRequest req;
-    std::promise<ServeReply> promise;
+    /// Where the reply goes: Run()'s reply vector, or the promise behind a
+    /// Submit() caller's future. The slot saves Run() one shared state
+    /// (allocation plus lock) per request.
+    std::variant<ServeReply*, std::promise<ServeReply>> reply;
   };
   struct Batch {
     std::shared_ptr<const Model> model;
@@ -197,11 +226,23 @@ class InferenceEngine {
     std::vector<Pending> items;
   };
 
+  /// Per-executor output buffers for ExecuteBatch, reused across batches.
+  struct EvalScratch {
+    std::vector<double> values;
+    std::vector<double> losses;
+    std::vector<uint8_t> corrects;
+  };
+  enum class Mode { kIdle, kThreaded, kInline };
+
   void SchedulerLoop();
   void ProcessArrival(Pending&& p);
-  /// Dispatches the open batch; `close_s` is the simulated close time.
+  /// Forms the open batch; `close_s` is the simulated close time. Inline
+  /// the batch is executed here, threaded it is pushed to the workers.
   void CloseOpenBatch(double close_s, bool by_deadline);
   void WorkerLoop();
+  /// Evaluates one batch, records its quality and answers its requests.
+  void ExecuteBatch(Batch* batch, EvalScratch* scratch);
+  static void Answer(Pending* p, ServeReply reply);
   void Fail(Pending&& p, Status status);
   /// Resolves the snapshot serving the open batch, applying the breaker /
   /// bounded-retry layers (scheduler thread only). On success also updates
@@ -220,10 +261,10 @@ class InferenceEngine {
 
   Channel<Pending> intake_;
   Channel<Batch> batches_;
-  ThreadPool pool_;
+  std::unique_ptr<ThreadPool> pool_;  ///< created by Start()
   std::thread scheduler_;
   std::vector<std::future<void>> worker_done_;
-  bool started_ = false;
+  Mode mode_ = Mode::kIdle;
   bool drained_ = false;
 
   // --- scheduler-thread state (unsynchronized by design) ---
@@ -253,6 +294,9 @@ class InferenceEngine {
     uint32_t clean_streak = 0;
   };
   std::map<std::string, CanaryRuntime> canaries_;
+  /// Completion latencies of the batch being closed (reused buffer).
+  std::vector<double> batch_latencies_;
+  EvalScratch inline_scratch_;  ///< Run()'s executor buffers
 
   mutable Mutex stats_mu_;
   ServeStatsBuilder stats_ CORGI_GUARDED_BY(stats_mu_);

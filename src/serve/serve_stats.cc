@@ -75,13 +75,13 @@ void ServeStatsBuilder::RecordBatch(uint64_t size, bool closed_by_deadline,
   stats_.service_busy_s += service_s;
 }
 
-void ServeStatsBuilder::RecordCompletion(const std::string& model_id,
-                                         uint64_t version, double latency_s,
-                                         double completion_s) {
-  ++stats_.completed;
-  latencies_.push_back(latency_s);
+void ServeStatsBuilder::RecordCompletions(
+    const std::string& model_id, uint64_t version, double completion_s,
+    const std::vector<double>& latencies_s) {
+  stats_.completed += latencies_s.size();
+  latencies_.insert(latencies_.end(), latencies_s.begin(), latencies_s.end());
   stats_.last_completion_s = std::max(stats_.last_completion_s, completion_s);
-  ++stats_.served_by_version[model_id][version];
+  stats_.served_by_version[model_id][version] += latencies_s.size();
 }
 
 void ServeStatsBuilder::RecordBatchQuality(uint64_t seq,

@@ -146,10 +146,13 @@ class ServeStatsBuilder {
                           double loss_sum);
 
   /// One dispatched batch: per-request completion latencies are recorded
-  /// by the caller via RecordCompletion.
+  /// by the caller via RecordCompletions.
   void RecordBatch(uint64_t size, bool closed_by_deadline, double service_s);
-  void RecordCompletion(const std::string& model_id, uint64_t version,
-                        double latency_s, double completion_s);
+  /// The requests of one batch served by (`model_id`, `version`), all
+  /// completing at `completion_s`; one latency per request, in batch order.
+  void RecordCompletions(const std::string& model_id, uint64_t version,
+                         double completion_s,
+                         const std::vector<double>& latencies_s);
 
   /// Percentiles and rates computed; the builder can keep accumulating
   /// (Finalize is a pure snapshot).

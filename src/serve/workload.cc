@@ -1,7 +1,6 @@
 #include "serve/workload.h"
 
 #include <cmath>
-#include <future>
 #include <set>
 #include <utility>
 
@@ -35,16 +34,11 @@ Result<WorkloadResult> RunGeneratedWorkload(ModelStore* store,
   if (workload.offered_load_rps <= 0.0) {
     return Status::InvalidArgument("offered_load_rps must be positive");
   }
-  serve.flush_on_idle = false;  // timing comes from the generated schedule
-
-  InferenceEngine engine(store, serve);
-  CORGI_RETURN_NOT_OK(engine.Start());
-
   const std::vector<double> schedule = PoissonSchedule(
       workload.num_requests, workload.offered_load_rps, workload.seed);
 
-  std::vector<std::future<ServeReply>> futures;
-  futures.reserve(workload.num_requests);
+  std::vector<ServeRequest> requests;
+  requests.reserve(workload.num_requests);
   for (uint64_t i = 0; i < workload.num_requests; ++i) {
     ServeRequest req;
     req.tuple = tuples[i % tuples.size()];
@@ -54,8 +48,7 @@ Result<WorkloadResult> RunGeneratedWorkload(ModelStore* store,
     if (workload.swap_at_request > 0 && i == workload.swap_at_request) {
       // Hot-swap drill, executed by the scheduler when it reaches this
       // arrival so the version split in served_by_version is a
-      // deterministic function of the schedule (publishing from this
-      // thread would race batch formation).
+      // deterministic function of the schedule.
       req.on_arrival = [store, model_id] {
         auto snap = store->GetSnapshot(model_id);
         if (!snap.ok()) return;
@@ -63,14 +56,15 @@ Result<WorkloadResult> RunGeneratedWorkload(ModelStore* store,
         (void)published;
       };
     }
-    futures.push_back(engine.Submit(std::move(req)));
+    requests.push_back(std::move(req));
   }
-  CORGI_RETURN_NOT_OK(engine.Drain());
+  InferenceEngine engine(store, std::move(serve));
+  CORGI_ASSIGN_OR_RETURN(std::vector<ServeReply> replies,
+                         engine.Run(std::move(requests)));
 
   WorkloadResult result;
   std::set<uint64_t> versions;
-  for (auto& fut : futures) {
-    ServeReply reply = fut.get();
+  for (const ServeReply& reply : replies) {
     if (reply.status.ok()) {
       ++result.ok;
       versions.insert(reply.model_version);

@@ -40,8 +40,8 @@ struct WorkloadOptions {
 std::vector<double> PoissonSchedule(uint64_t n, double rate_rps,
                                     uint64_t seed);
 
-/// Reply-side tallies, accumulated from the futures independently of the
-/// engine's own ServeStats — a cross-check that promises and stats agree.
+/// Reply-side tallies, accumulated from the replies independently of the
+/// engine's own ServeStats — a cross-check that replies and stats agree.
 struct WorkloadResult {
   ServeStats stats;
   uint64_t ok = 0;
@@ -53,10 +53,10 @@ struct WorkloadResult {
   uint64_t versions_seen = 0;
 };
 
-/// Builds an engine over `store` (flush_on_idle forced off — generated
-/// schedules drive all timing), submits `num_requests` requests against
-/// `model_id` cycling through `tuples`, drains, and reconciles replies
-/// against the engine stats.
+/// Builds an engine over `store`, replays `num_requests` requests against
+/// `model_id` cycling through `tuples` with InferenceEngine::Run (on the
+/// calling thread; generated schedules drive all timing), and reconciles
+/// replies against the engine stats.
 Result<WorkloadResult> RunGeneratedWorkload(ModelStore* store,
                                             const std::string& model_id,
                                             const std::vector<Tuple>& tuples,

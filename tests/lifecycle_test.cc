@@ -29,6 +29,8 @@
 #include "serve/workload.h"
 #include "util/rng.h"
 
+#include "canary_models.h"
+
 namespace corgipile {
 namespace {
 
@@ -36,32 +38,6 @@ std::string MakeTempDir(const std::string& name) {
   std::string dir = testing::TempDir() + name;
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-// A logistic model with every weight set to `w`: on the separable tuples
-// below, w > 0 classifies perfectly (low loss) and w < 0 inverts every
-// label (high loss). Distinct |w| values double as version fingerprints.
-std::unique_ptr<Model> MakeWeightModel(uint32_t dim, double w) {
-  auto model = std::make_unique<LogisticRegression>(dim);
-  model->params().assign(model->num_params(), w);
-  return model;
-}
-
-// Separable stream: label = sign of the (nonzero) mean feature value.
-std::vector<Tuple> MakeSeparableTuples(uint64_t n, uint32_t dim,
-                                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Tuple> out;
-  out.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    const double sign = rng.NextBool() ? 1.0 : -1.0;
-    std::vector<float> values(dim);
-    for (float& v : values) {
-      v = static_cast<float>(sign * (0.5 + rng.NextDouble()));
-    }
-    out.push_back(MakeDenseTuple(i, sign, std::move(values)));
-  }
-  return out;
 }
 
 double FirstParam(const ModelStore& store, const std::string& id) {
@@ -472,6 +448,92 @@ TEST(ModelLifecycleTest, ServeCanaryOffIgnoresStagedCandidate) {
   // canaries (or an external controller).
   EXPECT_TRUE(store.GetCanary(id).has_value());
   EXPECT_EQ(store.GetVersion(id).ValueOrDie(), 1u);
+}
+
+// --- Width guard: the gate and the canary compare equal-width models -----
+
+// susy (18 features) and higgs (28) side by side, so one alias can be
+// trained on tables of different widths.
+struct TwoWidthDb {
+  std::string dir;
+  Database db;
+
+  explicit TwoWidthDb(const std::string& name)
+      : dir(MakeTempDir(name)), db(dir, DeviceProfile::Ssd()) {
+    for (const char* table : {"susy", "higgs"}) {
+      auto spec = CatalogLookup(table, 0.01).ValueOrDie();
+      Dataset ds = GenerateDataset(spec, DataOrder::kShuffled);
+      EXPECT_TRUE(db.RegisterDataset(table, ds).ok());
+    }
+  }
+
+  Result<std::string> Train(const std::string& table,
+                            const std::string& params) {
+    return db.Execute("SELECT * FROM " + table +
+                      " TRAIN BY lr WITH max_epoch_num=1, block_size=16KB, " +
+                      params);
+  }
+};
+
+TEST(ModelLifecycleTest, ValidateAgainstIncumbentOfOtherWidthIsRejected) {
+  TwoWidthDb f("lifecycle_width_validate");
+  ASSERT_TRUE(f.Train("susy", "publish=m").ok());
+  const std::vector<double> incumbent =
+      f.db.models().Get("m").ValueOrDie()->params();
+  ASSERT_EQ(incumbent.size(), 19u);  // 18 weights + bias
+
+  auto rejected = f.Train("higgs", "publish=m, validate=true");
+  ASSERT_TRUE(rejected.status().IsInvalidArgument())
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().ToString().find("28"), std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().ToString().find("18"), std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_EQ(f.db.models().GetVersion("m").ValueOrDie(), 1u);
+  EXPECT_EQ(f.db.models().Get("m").ValueOrDie()->params(), incumbent);
+  EXPECT_FALSE(f.db.models().GetCanary("m").has_value());
+
+  // A plain hot-swap makes no comparison and may change the width.
+  ASSERT_TRUE(f.Train("higgs", "publish=m").ok());
+  EXPECT_EQ(f.db.models().GetVersion("m").ValueOrDie(), 2u);
+  EXPECT_EQ(f.db.models().Get("m").ValueOrDie()->input_dim(), 28u);
+}
+
+TEST(ModelLifecycleTest, CanaryAgainstIncumbentOfOtherWidthIsRejected) {
+  TwoWidthDb f("lifecycle_width_canary");
+  ASSERT_TRUE(f.Train("higgs", "publish=m").ok());
+  const std::vector<double> incumbent =
+      f.db.models().Get("m").ValueOrDie()->params();
+
+  auto rejected = f.Train("susy", "publish=m, canary_fraction=0.5");
+  ASSERT_TRUE(rejected.status().IsInvalidArgument())
+      << rejected.status().ToString();
+  EXPECT_EQ(f.db.models().GetVersion("m").ValueOrDie(), 1u);
+  EXPECT_EQ(f.db.models().Get("m").ValueOrDie()->params(), incumbent);
+  EXPECT_FALSE(f.db.models().GetCanary("m").has_value());
+
+  // Nothing staged, so PREDICT on the incumbent's table serves v1 only.
+  auto predicted = f.db.Predict(PredictStatement{"higgs", "m"});
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+  EXPECT_EQ(predicted->serve.canary_batches, 0u);
+  EXPECT_EQ(predicted->serve.failed, 0u);
+}
+
+TEST(ModelLifecycleTest, StageCanaryRejectsOtherWidth) {
+  ModelStore store;
+  const std::string id = store.Put(MakeWeightModel(8, 2.0));
+  auto staged =
+      store.StageCanary(id, MakeWeightModel(12, 2.0), BreachPolicy(1));
+  EXPECT_TRUE(staged.status().IsInvalidArgument())
+      << staged.status().ToString();
+  EXPECT_FALSE(store.GetCanary(id).has_value());
+  EXPECT_EQ(store.GetVersion(id).ValueOrDie(), 1u);
+  EXPECT_EQ(store.Events(id).ValueOrDie().size(), 1u);
+
+  // Equal widths stage as before, and the rejected stage burned no version.
+  auto same = store.StageCanary(id, MakeWeightModel(8, 1.0), BreachPolicy(1));
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(*same, 2u);
 }
 
 // --- DriftMonitor ---------------------------------------------------------

@@ -1,23 +1,30 @@
 // Tests for src/serve/: the versioned model registry, the micro-batched
 // inference engine (determinism, admission control, deadlines,
-// cancellation, hot-swap), live concurrent sessions, and the SQL
-// PREDICT BY path that routes through the engine.
+// cancellation, hot-swap), the inline replay (Run) against the threaded
+// replay, live concurrent sessions, and the SQL PREDICT BY path that
+// routes through the engine.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "db/database.h"
 #include "db/model_store.h"
 #include "dataset/catalog.h"
 #include "dataset/loader.h"
+#include "exec/shard_scan.h"
+#include "iosim/fault_plane.h"
 #include "ml/linear_models.h"
 #include "ml/mlp.h"
 #include "serve/inference_engine.h"
 #include "serve/workload.h"
 #include "util/rng.h"
+
+#include "canary_models.h"
 
 namespace corgipile {
 namespace {
@@ -284,6 +291,258 @@ TEST(InferenceEngineTest, HotSwapServesBothVersionsWithZeroFailures) {
   EXPECT_EQ(a, b);
 }
 
+// --- Run() against the threaded replay -----------------------------------
+//
+// For the same (schedule, options, store) the inline replay must make every
+// decision the threaded engine makes with flush_on_idle = false: equal
+// ServeStats, and equal replies down to the bits of value, loss and
+// latency. Each replay builds its own store from the same recipe, so
+// version numbers and lifecycle transitions replay too.
+
+struct ReplayOutcome {
+  ServeStats stats;
+  std::vector<ServeReply> replies;
+  uint64_t final_version = 0;  ///< ModelStore version of "m" afterwards
+  bool canary_staged = false;  ///< a candidate still staged afterwards
+};
+
+/// Fills a fresh store (the model id is "m") and returns its schedule.
+using ScheduleRecipe = std::function<std::vector<ServeRequest>(ModelStore*)>;
+
+ReplayOutcome FinishReplay(const InferenceEngine& engine,
+                           const ModelStore& store,
+                           std::vector<ServeReply> replies) {
+  ReplayOutcome out;
+  out.stats = engine.stats();
+  out.replies = std::move(replies);
+  auto version = store.GetVersion("m");
+  out.final_version = version.ok() ? *version : 0;
+  out.canary_staged = store.GetCanary("m").has_value();
+  return out;
+}
+
+ReplayOutcome ReplayInline(const ServeOptions& opts,
+                           const ScheduleRecipe& recipe) {
+  ModelStore store;
+  std::vector<ServeRequest> requests = recipe(&store);
+  InferenceEngine engine(&store, opts);
+  auto replies = engine.Run(std::move(requests));
+  EXPECT_TRUE(replies.ok()) << replies.status().ToString();
+  return FinishReplay(engine, store,
+                      replies.ok() ? std::move(*replies)
+                                   : std::vector<ServeReply>{});
+}
+
+ReplayOutcome ReplayThreaded(ServeOptions opts, const ScheduleRecipe& recipe) {
+  opts.flush_on_idle = false;
+  ModelStore store;
+  std::vector<ServeRequest> requests = recipe(&store);
+  InferenceEngine engine(&store, opts);
+  EXPECT_TRUE(engine.Start().ok());
+  std::vector<std::future<ServeReply>> futures;
+  futures.reserve(requests.size());
+  for (ServeRequest& req : requests) {
+    futures.push_back(engine.Submit(std::move(req)));
+  }
+  EXPECT_TRUE(engine.Drain().ok());
+  std::vector<ServeReply> replies;
+  replies.reserve(futures.size());
+  for (auto& fut : futures) replies.push_back(fut.get());
+  return FinishReplay(engine, store, std::move(replies));
+}
+
+void ExpectSameReplay(const ReplayOutcome& inline_run,
+                      const ReplayOutcome& threaded,
+                      const std::string& what) {
+  EXPECT_EQ(inline_run.stats, threaded.stats)
+      << what << "\n inline:   " << inline_run.stats.ToString()
+      << "\n threaded: " << threaded.stats.ToString();
+  EXPECT_EQ(inline_run.final_version, threaded.final_version) << what;
+  EXPECT_EQ(inline_run.canary_staged, threaded.canary_staged) << what;
+  ASSERT_EQ(inline_run.replies.size(), threaded.replies.size()) << what;
+  for (size_t i = 0; i < inline_run.replies.size(); ++i) {
+    const ServeReply& a = inline_run.replies[i];
+    const ServeReply& b = threaded.replies[i];
+    EXPECT_EQ(a.status.code(), b.status.code())
+        << what << " request " << i << ": " << a.status.ToString()
+        << " vs " << b.status.ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.value),
+              std::bit_cast<uint64_t>(b.value))
+        << what << " request " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.loss), std::bit_cast<uint64_t>(b.loss))
+        << what << " request " << i;
+    EXPECT_EQ(a.correct, b.correct) << what << " request " << i;
+    EXPECT_EQ(a.model_version, b.model_version) << what << " request " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.latency_s),
+              std::bit_cast<uint64_t>(b.latency_s))
+        << what << " request " << i;
+  }
+}
+
+/// Poisson arrivals over `tuples` against model "m"; `customize` may
+/// decorate request i (token, deadline, on_arrival hook).
+std::vector<ServeRequest> PoissonRequests(
+    const std::vector<Tuple>& tuples, uint64_t n, double rate_rps,
+    uint64_t seed,
+    const std::function<void(uint64_t, ServeRequest*)>& customize = {}) {
+  const std::vector<double> schedule = PoissonSchedule(n, rate_rps, seed);
+  std::vector<ServeRequest> out;
+  out.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    ServeRequest req;
+    req.tuple = tuples[i % tuples.size()];
+    req.model_id = "m";
+    req.arrival_s = schedule[i];
+    if (customize) customize(i, &req);
+    out.push_back(std::move(req));
+  }
+  return out;
+}
+
+TEST(InlineReplayTest, MatchesThreadedUnderShedding) {
+  const auto tuples = MakeTuples(64, 8, 11);
+  ServeOptions opts = SmallServeOptions();
+  opts.max_queue_depth = 16;
+  opts.max_batch = 4;
+  const ScheduleRecipe recipe = [&](ModelStore* store) {
+    EXPECT_TRUE(store->Publish("m", MakeWeightModel(8, 0.1)).ok());
+    return PoissonRequests(tuples, 2000, 50000.0, 5);
+  };
+  const ReplayOutcome run = ReplayInline(opts, recipe);
+  EXPECT_GT(run.stats.shed, 0u);
+  EXPECT_GT(run.stats.completed, 0u);
+  ExpectSameReplay(run, ReplayThreaded(opts, recipe), "shedding");
+}
+
+TEST(InlineReplayTest, MatchesThreadedWithDeadlinesAndCancellation) {
+  const auto tuples = MakeTuples(64, 8, 11);
+  ServeOptions opts = SmallServeOptions();
+  opts.max_queue_depth = 0;
+  const ScheduleRecipe recipe = [&](ModelStore* store) {
+    EXPECT_TRUE(store->Publish("m", MakeWeightModel(8, 0.1)).ok());
+    return PoissonRequests(
+        tuples, 1000, 50000.0, 9, [](uint64_t i, ServeRequest* req) {
+          req->deadline_s = 5e-3;
+          if (i % 7 == 3) {
+            req->token.Cancel(Status::Cancelled("caller went away"));
+          }
+        });
+  };
+  const ReplayOutcome run = ReplayInline(opts, recipe);
+  EXPECT_GT(run.stats.expired, 0u);
+  EXPECT_GT(run.stats.cancelled, 0u);
+  EXPECT_GT(run.stats.completed, 0u);
+  ExpectSameReplay(run, ReplayThreaded(opts, recipe), "deadlines+cancel");
+}
+
+TEST(InlineReplayTest, MatchesThreadedAcrossHotSwap) {
+  const auto tuples = MakeTuples(64, 8, 11);
+  ServeOptions opts = SmallServeOptions();
+  opts.max_queue_depth = 0;
+  const ScheduleRecipe recipe = [&](ModelStore* store) {
+    EXPECT_TRUE(store->Publish("m", MakeWeightModel(8, 0.1)).ok());
+    return PoissonRequests(
+        tuples, 1200, 4000.0, 33, [store](uint64_t i, ServeRequest* req) {
+          if (i != 600) return;
+          req->on_arrival = [store] {
+            EXPECT_TRUE(store->Publish("m", MakeWeightModel(8, -0.3)).ok());
+          };
+        });
+  };
+  const ReplayOutcome run = ReplayInline(opts, recipe);
+  EXPECT_EQ(run.stats.served_by_version.at("m").size(), 2u);
+  EXPECT_EQ(run.final_version, 2u);
+  ExpectSameReplay(run, ReplayThreaded(opts, recipe), "hot-swap");
+}
+
+TEST(InlineReplayTest, MatchesThreadedThroughCanaryPromoteAndRollback) {
+  const auto tuples = MakeSeparableTuples(96, 8, 5);
+  ServeOptions opts = SmallServeOptions();
+  opts.max_queue_depth = 0;
+  for (const double candidate_w : {2.0, -2.0}) {
+    const ScheduleRecipe recipe = [&](ModelStore* store) {
+      EXPECT_TRUE(store->Publish("m", MakeWeightModel(8, 2.0)).ok());
+      CanaryPolicy policy;
+      policy.fraction = 0.5;
+      policy.seed = 77;
+      policy.promote_after_batches = 4;
+      policy.breaker_window = 4;
+      policy.breaker_min_samples = 2;
+      EXPECT_TRUE(store
+                      ->StageCanary("m", MakeWeightModel(8, candidate_w),
+                                    policy)
+                      .ok());
+      return PoissonRequests(tuples, 400, 4000.0, 77);
+    };
+    const ReplayOutcome run = ReplayInline(opts, recipe);
+    EXPECT_GT(run.stats.canary_batches, 0u);
+    EXPECT_FALSE(run.canary_staged);
+    if (candidate_w > 0) {
+      EXPECT_EQ(run.stats.canary_promotions, 1u);
+      EXPECT_EQ(run.final_version, 2u);
+    } else {
+      EXPECT_EQ(run.stats.canary_rollbacks, 1u);
+      EXPECT_EQ(run.final_version, 1u);
+    }
+    ExpectSameReplay(run, ReplayThreaded(opts, recipe),
+                     candidate_w > 0 ? "canary promote" : "canary rollback");
+  }
+}
+
+TEST(InlineReplayTest, MatchesThreadedUnderResolveFaults) {
+  const auto tuples = MakeTuples(64, 8, 11);
+  ServeOptions opts = SmallServeOptions();
+  opts.max_queue_depth = 0;
+  opts.resolve_max_retries = 1;
+  opts.breaker.window = 8;
+  opts.breaker.min_samples = 4;
+  opts.breaker.error_threshold = 0.5;
+  opts.breaker.cooldown_s = 5e-3;  // half-opens within the run
+  ChaosRule rule;
+  rule.point = "serve.resolve";
+  rule.action = ChaosAction::kFail;
+  rule.from_hit = 1;  // hit 0 resolves: brownout has a last-good snapshot
+  rule.repeat = 60;
+  rule.probability = 0.6;
+  const ScheduleRecipe recipe = [&](ModelStore* store) {
+    EXPECT_TRUE(store->Publish("m", MakeWeightModel(8, 0.1)).ok());
+    // Re-armed per replay: hit counters and draws restart from zero.
+    FaultPlane::Process()->Arm("inline-vs-threaded", 41, {rule});
+    return PoissonRequests(tuples, 800, 4000.0, 21);
+  };
+  const ReplayOutcome run = ReplayInline(opts, recipe);
+  const ReplayOutcome threaded = ReplayThreaded(opts, recipe);
+  FaultPlane::Process()->Disarm();
+  EXPECT_GT(run.stats.hedged_retries, 0u);
+  EXPECT_GT(run.stats.breaker_opens, 0u);
+  EXPECT_GT(run.stats.brownout_batches, 0u);
+  ExpectSameReplay(run, threaded, "resolve faults");
+}
+
+TEST(InlineReplayTest, RunAndStartAreExclusive) {
+  ServeFixture f;
+  std::vector<ServeRequest> one(1);
+  one[0].tuple = f.tuples[0];
+  one[0].model_id = f.id;
+
+  InferenceEngine started(&f.store, SmallServeOptions());
+  ASSERT_TRUE(started.Start().ok());
+  EXPECT_FALSE(started.Run(one).ok());
+  ASSERT_TRUE(started.Drain().ok());
+
+  InferenceEngine ran(&f.store, SmallServeOptions());
+  auto replies = ran.Run(one);
+  ASSERT_TRUE(replies.ok()) << replies.status().ToString();
+  ASSERT_EQ(replies->size(), 1u);
+  EXPECT_TRUE((*replies)[0].status.ok());
+  EXPECT_FALSE(ran.Start().ok());
+  EXPECT_FALSE(ran.Run(one).ok());
+  // A stray Submit is answered with an error, never left hanging.
+  EXPECT_FALSE(ran.Submit(one[0]).get().status.ok());
+  EXPECT_TRUE(ran.Drain().ok());
+  EXPECT_EQ(ran.stats().completed, 1u);
+}
+
 // --- live concurrent sessions (the tsan preset exercises this heavily) ---
 
 TEST(InferenceEngineTest, ManyConcurrentSessions) {
@@ -425,6 +684,40 @@ TEST(SqlPredictTest, PredictReportsServeStatsAndIsDeterministic) {
   ASSERT_TRUE(retrained.ok());
   EXPECT_NE(retrained->find("champion (v2)"), std::string::npos);
   EXPECT_EQ(f.db.models().GetVersion("champion").ValueOrDie(), 2u);
+}
+
+TEST(SqlPredictTest, PredictStatsEqualThreadedReplayOfScannedRows) {
+  DbFixture f;
+  auto trained = f.db.Execute(
+      "SELECT * FROM susy TRAIN BY lr WITH max_epoch_num=2, publish=m");
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  auto predicted = f.db.Predict(PredictStatement{"susy", "m"});
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+
+  // The same rows, in the same order, through the threaded engine.
+  std::vector<Tuple> rows;
+  const ShardedSnapshot snap =
+      f.db.GetShardedTable("susy").ValueOrDie()->Snapshot();
+  snap.ResetReadCursors();
+  ASSERT_TRUE(CollectSnapshot(snap, ShardScanOptions{}, &rows).ok());
+  ServeOptions opts = f.db.serve_options();
+  opts.flush_on_idle = false;
+  InferenceEngine engine(&f.db.models(), opts);
+  ASSERT_TRUE(engine.Start().ok());
+  std::vector<std::future<ServeReply>> futures;
+  for (const Tuple& t : rows) {
+    ServeRequest req;
+    req.tuple = t;
+    req.model_id = "m";
+    futures.push_back(engine.Submit(std::move(req)));
+  }
+  ASSERT_TRUE(engine.Drain().ok());
+  for (auto& fut : futures) ASSERT_TRUE(fut.get().status.ok());
+
+  EXPECT_EQ(predicted->count, rows.size());
+  EXPECT_EQ(predicted->serve, engine.stats())
+      << predicted->serve.ToString() << "\n vs \n"
+      << engine.stats().ToString();
 }
 
 TEST(SqlPredictTest, ManyConcurrentPredictSessions) {
