@@ -49,7 +49,7 @@ Status BlockShuffleOp::ReScan() {
   }
   ++epoch_;
   next_block_ = 0;
-  current_block_.clear();
+  current_block_.Clear();
   pos_ = 0;
   quarantine().BeginEpoch();
   snapshot_.ResetReadCursors();
@@ -68,13 +68,13 @@ bool BlockShuffleOp::LoadNextBlock() {
   while (next_block_ < block_order_.size()) {
     const BlockRef& ref = blocks_[block_order_[next_block_++]];
     const TableSnapshot& shard = snapshot_.shard(ref.shard);
-    current_block_.clear();
+    current_block_.Clear();
     pos_ = 0;
     Status st = shard.ReadTuplesFromPages(ref.first_page, ref.page_count,
                                           &current_block_);
     if (!st.ok()) {
       // Quarantine: drop whatever the partial read produced and move on.
-      current_block_.clear();
+      current_block_.Clear();
       uint64_t lost = 0;
       for (uint64_t p = ref.first_page; p < ref.first_page + ref.page_count;
            ++p) {
@@ -101,14 +101,14 @@ bool BlockShuffleOp::NextBatch(TupleBatch* out) {
     }
     const size_t take = std::min(current_block_.size() - pos_,
                                  out->target_tuples() - out->size());
-    for (size_t i = 0; i < take; ++i) out->Append(current_block_[pos_ + i]);
+    out->AppendRange(current_block_, pos_, pos_ + take);
     pos_ += take;
   }
   return !out->empty();
 }
 
 void BlockShuffleOp::Close() {
-  current_block_.clear();
+  current_block_.Clear();
   block_order_.clear();
 }
 

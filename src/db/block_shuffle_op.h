@@ -2,7 +2,8 @@
 //
 // Computes BN = page_num · page_size / block_size, shuffles the block ids,
 // and streams the tuples of each block by reading its contiguous pages
-// (the heapgetpage() analog is TableSnapshot::ReadTuplesFromPages). With
+// (the heapgetpage() analog is TableSnapshot::ReadTuplesFromPages, which
+// decodes page records straight into a reused TupleBatch). With
 // shuffle_blocks = false it degenerates into PostgreSQL's sequential Scan.
 //
 // Sharded tables (DESIGN.md §14): the op reads through a ShardedSnapshot
@@ -43,7 +44,7 @@ class BlockShuffleOp : public WithStreamState<PhysicalOperator> {
 
   Status Init() override;
   /// Native batched fill: copies whole runs of the decoded block into the
-  /// batch arena.
+  /// batch arenas, one bulk copy per arena.
   bool NextBatch(TupleBatch* out) override;
   Status ReScan() override;
   /// Epoch jump without data reads: the block order of epoch e is a pure
@@ -73,7 +74,9 @@ class BlockShuffleOp : public WithStreamState<PhysicalOperator> {
   std::vector<BlockRef> blocks_;
   std::vector<uint32_t> block_order_;
   size_t next_block_ = 0;
-  std::vector<Tuple> current_block_;
+  /// The decoded block, reused across blocks so its arenas stop growing
+  /// after the largest block.
+  TupleBatch current_block_;
   size_t pos_ = 0;
   uint64_t epoch_ = 0;
   bool initialized_ = false;

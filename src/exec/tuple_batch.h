@@ -3,8 +3,9 @@
 //
 // A reusable, arena-backed container of tuples. Per-tuple metadata (id,
 // label) and feature data live in contiguous arrays owned by the batch;
-// appending copies a tuple's features into the arena, and Clear() keeps the
-// arena capacity so a steady-state pipeline performs no allocation.
+// appending copies a tuple's features into the arena (from a Tuple, another
+// batch, or a wire-format record), and Clear() keeps the arena capacity so
+// a steady-state pipeline performs no allocation.
 //
 // Dense fast path: while every appended tuple is dense with the same nnz,
 // the value arena is one contiguous row-major [size() × uniform_dim()]
@@ -21,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "storage/tuple.h"
@@ -76,11 +78,7 @@ class TupleBatch {
   }
 
   void AppendDense(uint64_t id, double label, const float* values, size_t n) {
-    if (empty()) {
-      uniform_dim_ = n;
-    } else if (uniform_dense_ && n != uniform_dim_) {
-      uniform_dense_ = false;
-    }
+    NoteRowShape(/*sparse=*/false, n, /*first=*/empty());
     ids_.push_back(id);
     labels_.push_back(label);
     values_.insert(values_.end(), values, values + n);
@@ -107,6 +105,49 @@ class TupleBatch {
     keys_.insert(keys_.end(), keys, keys + nnz);
     value_offsets_.push_back(static_cast<uint32_t>(values_.size()));
     key_offsets_.push_back(static_cast<uint32_t>(keys_.size()));
+  }
+
+  /// Appends one wire-format record (storage/tuple.h), copying its key and
+  /// value spans straight into the arenas without building a Tuple. The
+  /// row equals Append(Tuple::Deserialize(...)). On error the batch is
+  /// unchanged.
+  Status AppendWire(const uint8_t* data, size_t size) {
+    TupleWire w;
+    CORGI_RETURN_NOT_OK(ParseTupleWire(data, size, &w));
+    const bool is_sparse = w.keys != nullptr;
+    NoteRowShape(is_sparse, w.nnz, /*first=*/empty());
+    ids_.push_back(w.id);
+    labels_.push_back(w.label);
+    AppendUnaligned(&values_, w.values, w.nnz);
+    if (is_sparse) AppendUnaligned(&keys_, w.keys, w.nnz);
+    value_offsets_.push_back(static_cast<uint32_t>(values_.size()));
+    key_offsets_.push_back(static_cast<uint32_t>(keys_.size()));
+    return Status::OK();
+  }
+
+  /// Appends rows [begin, end) of `src` (another batch) with one bulk copy
+  /// per arena. Equal to AppendFrom(src, i) for each i in order.
+  void AppendRange(const TupleBatch& src, size_t begin, size_t end) {
+    if (begin >= end) return;
+    const bool was_empty = empty();
+    for (size_t i = begin; i < end && uniform_dense_; ++i) {
+      NoteRowShape(src.sparse(i), src.nnz(i), was_empty && i == begin);
+    }
+    const uint32_t v_first = src.value_offsets_[begin];
+    const uint32_t k_first = src.key_offsets_[begin];
+    const uint32_t v_base = value_offsets_.back();
+    const uint32_t k_base = key_offsets_.back();
+    for (size_t i = begin + 1; i <= end; ++i) {
+      value_offsets_.push_back(v_base + (src.value_offsets_[i] - v_first));
+      key_offsets_.push_back(k_base + (src.key_offsets_[i] - k_first));
+    }
+    ids_.insert(ids_.end(), src.ids_.begin() + begin, src.ids_.begin() + end);
+    labels_.insert(labels_.end(), src.labels_.begin() + begin,
+                   src.labels_.begin() + end);
+    values_.insert(values_.end(), src.values_.begin() + v_first,
+                   src.values_.begin() + src.value_offsets_[end]);
+    keys_.insert(keys_.end(), src.keys_.begin() + k_first,
+                 src.keys_.begin() + src.key_offsets_[end]);
   }
 
   uint64_t id(size_t i) const { return ids_[i]; }
@@ -156,6 +197,28 @@ class TupleBatch {
   }
 
  private:
+  /// Tracks the uniform-dense layout for a row about to be appended;
+  /// `first` says the batch holds no rows yet.
+  void NoteRowShape(bool sparse, size_t n, bool first) {
+    if (sparse) {
+      uniform_dense_ = false;
+    } else if (first) {
+      uniform_dim_ = n;
+    } else if (n != uniform_dim_) {
+      uniform_dense_ = false;
+    }
+  }
+
+  /// Appends n elements stored at a possibly unaligned address.
+  template <typename T>
+  static void AppendUnaligned(std::vector<T>* arena, const uint8_t* src,
+                              size_t n) {
+    if (n == 0) return;
+    const size_t old = arena->size();
+    arena->resize(old + n);
+    std::memcpy(arena->data() + old, src, n * sizeof(T));
+  }
+
   size_t target_tuples_;
   std::vector<uint64_t> ids_;
   std::vector<double> labels_;

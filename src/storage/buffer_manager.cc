@@ -71,6 +71,11 @@ void BufferManager::Insert(const HeapFile* file, uint64_t page_idx,
   cached_bytes_ += lru_.front().page->size();
 }
 
+void BufferManager::CountMisses(uint64_t n) {
+  MutexLock lock(mu_);
+  stats_.misses += n;
+}
+
 bool BufferManager::Contains(const HeapFile* file, uint64_t page_idx) const {
   MutexLock lock(mu_);
   return index_.count(Key{file, page_idx}) > 0;

@@ -44,6 +44,10 @@ class BufferManager {
   void Insert(const HeapFile* file, uint64_t page_idx,
               std::shared_ptr<const Page> page);
 
+  /// Counts `n` misses for pages a caller read from the file itself, e.g.
+  /// an uncached run read in one access and then admitted with Insert.
+  void CountMisses(uint64_t n);
+
   /// True if (file, page) is currently cached (does not touch LRU order).
   bool Contains(const HeapFile* file, uint64_t page_idx) const;
 

@@ -2,9 +2,26 @@
 
 #include <algorithm>
 
+#include "exec/tuple_batch.h"
 #include "storage/compression.h"
 
 namespace corgipile {
+
+namespace {
+
+// The two sinks a page read decodes records into.
+Status AppendRecord(const uint8_t* data, size_t len, std::vector<Tuple>* out) {
+  size_t consumed = 0;
+  CORGI_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(data, len, &consumed));
+  out->push_back(std::move(t));
+  return Status::OK();
+}
+
+Status AppendRecord(const uint8_t* data, size_t len, TupleBatch* out) {
+  return out->AppendWire(data, len);
+}
+
+}  // namespace
 
 // --- TableSnapshot ---
 
@@ -33,6 +50,12 @@ uint32_t TableSnapshot::TuplesInPage(uint64_t p) const {
 
 Status TableSnapshot::ReadTuplesFromPages(uint64_t first, uint64_t count,
                                           std::vector<Tuple>* out) const {
+  if (table_ == nullptr) return Status::Internal("empty snapshot");
+  return table_->ReadTuplesFromPagesBounded(*index_, first, count, out);
+}
+
+Status TableSnapshot::ReadTuplesFromPages(uint64_t first, uint64_t count,
+                                          TupleBatch* out) const {
   if (table_ == nullptr) return Status::Internal("empty snapshot");
   return table_->ReadTuplesFromPagesBounded(*index_, first, count, out);
 }
@@ -118,23 +141,19 @@ uint32_t Table::TuplesInPage(uint64_t p) const {
   return Snapshot().TuplesInPage(p);
 }
 
-Status Table::DecodePage(const Page& page, std::vector<Tuple>* out) {
+template <typename Sink>
+Status Table::DecodePage(const Page& page, Sink* out) {
   std::vector<uint8_t> decompressed;
   uint64_t decompressed_bytes = 0;
   for (uint16_t s = 0; s < page.num_records(); ++s) {
     auto [data, len] = page.Record(s);
-    size_t consumed = 0;
     if (options_.compress_tuples) {
       CORGI_RETURN_NOT_OK(DecompressBytes(data, len, &decompressed));
       decompressed_bytes += decompressed.size();
-      CORGI_ASSIGN_OR_RETURN(
-          Tuple t,
-          Tuple::Deserialize(decompressed.data(), decompressed.size(),
-                             &consumed));
-      out->push_back(std::move(t));
+      CORGI_RETURN_NOT_OK(
+          AppendRecord(decompressed.data(), decompressed.size(), out));
     } else {
-      CORGI_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(data, len, &consumed));
-      out->push_back(std::move(t));
+      CORGI_RETURN_NOT_OK(AppendRecord(data, len, out));
     }
   }
   if (options_.compress_tuples && clock_ != nullptr) {
@@ -145,9 +164,9 @@ Status Table::DecodePage(const Page& page, std::vector<Tuple>* out) {
   return Status::OK();
 }
 
+template <typename Sink>
 Status Table::ReadTuplesFromPagesBounded(const Index& index, uint64_t first,
-                                         uint64_t count,
-                                         std::vector<Tuple>* out) {
+                                         uint64_t count, Sink* out) {
   const uint64_t bound = index.tuples_per_page.size();
   if (first + count > bound) {
     return Status::OutOfRange("page range beyond snapshot");
@@ -176,6 +195,8 @@ Status Table::ReadTuplesFromPagesBounded(const Index& index, uint64_t first,
     while (run_end < end && !buffer_manager_->Contains(file_.get(), run_end)) {
       ++run_end;
     }
+    // Every page of the run is a miss, as a Fetch of it would have been.
+    buffer_manager_->CountMisses(run_end - p);
     std::vector<Page> pages;
     CORGI_RETURN_NOT_OK(file_->ReadPages(p, run_end - p, &pages));
     for (uint64_t i = 0; i < pages.size(); ++i) {

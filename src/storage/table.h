@@ -28,6 +28,7 @@
 namespace corgipile {
 
 class Table;
+class TupleBatch;
 
 struct TableOptions {
   uint32_t page_size = Page::kDefaultSize;
@@ -63,6 +64,12 @@ class TableSnapshot {
   /// Fails with kOutOfRange past the snapshot's page bound.
   Status ReadTuplesFromPages(uint64_t first, uint64_t count,
                              std::vector<Tuple>* out) const;
+
+  /// Batch form: decodes the same rows, in the same order and with the same
+  /// billing and errors, straight into `out`'s arenas without building a
+  /// Tuple per row. On error `out` may hold a prefix of the rows.
+  Status ReadTuplesFromPages(uint64_t first, uint64_t count,
+                             TupleBatch* out) const;
 
   /// Reads the tuple with global index `idx` (0-based, in storage order).
   Result<Tuple> ReadTupleAt(uint64_t idx) const;
@@ -163,10 +170,15 @@ class Table {
   static std::shared_ptr<const Index> BuildIndex(
       std::vector<uint32_t> tuples_per_page);
 
-  Status DecodePage(const Page& page, std::vector<Tuple>* out);
-  /// Snapshot-bounded read body shared by Table and TableSnapshot.
+  /// Decodes every record of `page` into `out` (a std::vector<Tuple> or a
+  /// TupleBatch), billing decompression for compressed tables.
+  template <typename Sink>
+  Status DecodePage(const Page& page, Sink* out);
+  /// Snapshot-bounded read body shared by Table and TableSnapshot and by
+  /// both sinks.
+  template <typename Sink>
   Status ReadTuplesFromPagesBounded(const Index& index, uint64_t first,
-                                    uint64_t count, std::vector<Tuple>* out);
+                                    uint64_t count, Sink* out);
   Result<Tuple> ReadTupleAtBounded(const Index& index, uint64_t idx);
 
   Schema schema_;

@@ -72,33 +72,46 @@ void Tuple::SerializeTo(std::vector<uint8_t>* out) const {
   for (float v : feature_values) AppendRaw(out, v);
 }
 
-Result<Tuple> Tuple::Deserialize(const uint8_t* data, size_t size,
-                                 size_t* consumed) {
-  Tuple t;
+Status ParseTupleWire(const uint8_t* data, size_t size, TupleWire* out) {
   size_t pos = 0;
-  uint32_t nnz = 0;
   uint8_t is_sparse = 0;
-  if (!ReadRaw(data, size, &pos, &t.id) ||
-      !ReadRaw(data, size, &pos, &t.label) ||
-      !ReadRaw(data, size, &pos, &nnz) ||
+  if (!ReadRaw(data, size, &pos, &out->id) ||
+      !ReadRaw(data, size, &pos, &out->label) ||
+      !ReadRaw(data, size, &pos, &out->nnz) ||
       !ReadRaw(data, size, &pos, &is_sparse)) {
     return Status::Corruption("truncated tuple header");
   }
+  const size_t span = static_cast<size_t>(out->nnz) * sizeof(uint32_t);
+  out->keys = nullptr;
   if (is_sparse) {
-    t.feature_keys.resize(nnz);
-    for (uint32_t i = 0; i < nnz; ++i) {
-      if (!ReadRaw(data, size, &pos, &t.feature_keys[i])) {
-        return Status::Corruption("truncated tuple keys");
-      }
-    }
+    if (size - pos < span) return Status::Corruption("truncated tuple keys");
+    if (out->nnz > 0) out->keys = data + pos;
+    pos += span;
   }
-  t.feature_values.resize(nnz);
-  for (uint32_t i = 0; i < nnz; ++i) {
-    if (!ReadRaw(data, size, &pos, &t.feature_values[i])) {
-      return Status::Corruption("truncated tuple values");
-    }
+  if (size - pos < static_cast<size_t>(out->nnz) * sizeof(float)) {
+    return Status::Corruption("truncated tuple values");
   }
-  *consumed = pos;
+  out->values = data + pos;
+  out->size = pos + static_cast<size_t>(out->nnz) * sizeof(float);
+  return Status::OK();
+}
+
+Result<Tuple> Tuple::Deserialize(const uint8_t* data, size_t size,
+                                 size_t* consumed) {
+  TupleWire w;
+  CORGI_RETURN_NOT_OK(ParseTupleWire(data, size, &w));
+  Tuple t;
+  t.id = w.id;
+  t.label = w.label;
+  if (w.keys != nullptr) {
+    t.feature_keys.resize(w.nnz);
+    std::memcpy(t.feature_keys.data(), w.keys, w.nnz * sizeof(uint32_t));
+  }
+  t.feature_values.resize(w.nnz);
+  if (w.nnz > 0) {
+    std::memcpy(t.feature_values.data(), w.values, w.nnz * sizeof(float));
+  }
+  *consumed = w.size;
   return t;
 }
 

@@ -51,6 +51,25 @@ struct Tuple {
   }
 };
 
+/// One parsed wire record (layout above Tuple::SerializedSize). `keys` and
+/// `values` point into the parsed bytes and may be unaligned, so read them
+/// with memcpy. `keys` is null for a dense record and for a record with the
+/// sparse flag and nnz 0, which reads back as a dense row of width 0.
+struct TupleWire {
+  uint64_t id = 0;
+  double label = 0.0;
+  uint32_t nnz = 0;
+  const uint8_t* keys = nullptr;
+  const uint8_t* values = nullptr;
+  /// Bytes the record occupies.
+  size_t size = 0;
+};
+
+/// Bounds-checked parse of the record at data[0, size); kCorruption if it
+/// is truncated. The one wire parser: Tuple::Deserialize and
+/// TupleBatch::AppendWire both build on it.
+Status ParseTupleWire(const uint8_t* data, size_t size, TupleWire* out);
+
 /// Builds a dense tuple.
 Tuple MakeDenseTuple(uint64_t id, double label, std::vector<float> values);
 

@@ -1,6 +1,11 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace corgipile {
 
@@ -32,9 +37,19 @@ const Crc32cTables& Tables() {
   return tables;
 }
 
+using ExtendFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+ExtendFn ResolveExtend() {
+  return crc32c_internal::HardwareAvailable()
+             ? crc32c_internal::ExtendHardware
+             : crc32c_internal::ExtendPortable;
+}
+
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+namespace crc32c_internal {
+
+uint32_t ExtendPortable(uint32_t crc, const void* data, size_t len) {
   const auto& t = Tables().t;
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
@@ -52,6 +67,54 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
     c = (c >> 8) ^ t[0][(c ^ *p++) & 0xFF];
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+#if defined(__x86_64__)
+
+bool HardwareAvailable() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+
+// Compiled for SSE4.2 on its own, so the rest of the build keeps the
+// baseline instruction set and this is reached only after the CPU check.
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t crc,
+                                                          const void* data,
+                                                          size_t len) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  while (len > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
+    c = _mm_crc32_u8(c, *p++);
+    --len;
+  }
+  uint64_t c64 = c;
+  while (len >= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    c64 = _mm_crc32_u64(c64, word);
+    p += 8;
+    len -= 8;
+  }
+  c = static_cast<uint32_t>(c64);
+  while (len-- > 0) c = _mm_crc32_u8(c, *p++);
+  return c ^ 0xFFFFFFFFu;
+}
+
+#else
+
+bool HardwareAvailable() { return false; }
+
+uint32_t ExtendHardware(uint32_t crc, const void* data, size_t len) {
+  return ExtendPortable(crc, data, len);
+}
+
+#endif
+
+}  // namespace crc32c_internal
+
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+  static const ExtendFn extend = ResolveExtend();
+  return extend(crc, data, len);
 }
 
 uint32_t Crc32c(const void* data, size_t len) {

@@ -596,6 +596,51 @@ TEST(QuarantineTrainingTest, CorruptionSurfacesInBothBufferModes) {
   }
 }
 
+// A block that fails to decode part-way (a CRC-valid page holding a
+// truncated record) is quarantined whole: the rows decoded from its
+// healthy pages before the failure never reach the consumer, even when it
+// is the last block of the epoch.
+TEST(QuarantineTrainingTest, PartiallyDecodedBlockIsDroppedWhole) {
+  const std::string path = TempPath("partial_block.tbl");
+  constexpr uint32_t kPageSize = 512;
+  std::vector<uint64_t> healthy_ids;
+  {
+    auto file = HeapFile::Create(path, kPageSize);
+    ASSERT_TRUE(file.ok());
+    uint64_t id = 0;
+    for (int p = 0; p < 4; ++p) {
+      Page page(kPageSize);
+      for (int r = 0; r < 3; ++r) {
+        std::vector<uint8_t> rec;
+        MakeDenseTuple(id, 1.0, {1.0f, 2.0f}).SerializeTo(&rec);
+        if (p == 3 && r == 2) rec.resize(rec.size() - 5);  // truncated
+        ASSERT_TRUE(page.AddRecord(rec.data(), rec.size()));
+        if (p < 2) healthy_ids.push_back(id);
+        ++id;
+      }
+      ASSERT_TRUE((*file)->AppendPage(page).ok());
+    }
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  auto table = Table::Open(path, Schema{"t", 2, false, LabelType::kBinary, 2},
+                           TableOptions{kPageSize, false});
+  ASSERT_TRUE(table.ok());
+
+  BlockShuffleOp::Options opts;
+  opts.block_size_bytes = 2 * kPageSize;  // blocks {0,1} and {2,3}
+  opts.shuffle_blocks = false;            // the bad block is read last
+  opts.tolerance.quarantine_corrupt_blocks = true;
+  opts.tolerance.max_bad_block_fraction = 1.0;
+  BlockShuffleOp op(table->get(), opts);
+  ASSERT_TRUE(op.Init().ok());
+  EXPECT_EQ(Ids(DrainRest(&op, 1000)), healthy_ids);
+  EXPECT_TRUE(op.status().ok()) << op.status().ToString();
+  EXPECT_EQ(op.QuarantinedBlocks(), 1u);
+  EXPECT_EQ(op.SkippedTuples(), 6u);
+  op.Close();
+  std::remove(path.c_str());
+}
+
 // --- Checkpoints ----------------------------------------------------------
 
 TEST(CheckpointTest, RoundTrip) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
+#include "exec/tuple_batch.h"
 #include "storage/block_source.h"
 #include "storage/buffer_manager.h"
 #include "storage/compression.h"
@@ -512,6 +514,31 @@ TEST(TableBufferManagerTest, MixedRunsDecodeInOrder) {
   std::remove(path.c_str());
 }
 
+TEST(TableBufferManagerTest, BlockReadCountsMissesThenHits) {
+  const std::string path = TempPath("tbl_bm_miss.dat");
+  Schema schema{"t", 8, false, LabelType::kBinary, 2};
+  auto tuples = MakeTuples(400, 8);
+  TableBuilder builder(schema, path, TableOptions{512, false});
+  for (const auto& t : tuples) ASSERT_TRUE(builder.Append(t).ok());
+  auto table = builder.Finish();
+  ASSERT_TRUE(table.ok());
+  const uint64_t pages = (*table)->num_pages();
+  ASSERT_GT(pages, 1u);
+  BufferManager bm(1 << 20);
+  (*table)->SetBufferManager(&bm);
+
+  std::vector<Tuple> out;
+  ASSERT_TRUE((*table)->ReadTuplesFromPages(0, pages, &out).ok());
+  EXPECT_EQ(bm.stats().misses, pages);
+  EXPECT_EQ(bm.stats().hits, 0u);
+
+  ASSERT_TRUE((*table)->ReadTuplesFromPages(0, pages, &out).ok());
+  EXPECT_EQ(bm.stats().hits, pages);
+  EXPECT_EQ(bm.stats().misses, pages);
+  EXPECT_DOUBLE_EQ(bm.stats().HitRate(), 0.5);
+  std::remove(path.c_str());
+}
+
 TEST(BufferManagerTest, InsertAndContains) {
   const std::string path = TempPath("bm_ins.dat");
   auto hf = HeapFile::Create(path, 512);
@@ -666,6 +693,276 @@ TEST(SnapshotBlockSourceTest, ShardMajorBlocksCoverAllTuples) {
   EXPECT_EQ(all.front(), tuples[0]);
   EXPECT_EQ(all[1], tuples[2]);
   EXPECT_FALSE(source.ReadBlock(source.num_blocks(), &all).ok());
+}
+
+// --- Decoding pages straight into a TupleBatch ------------------------------
+
+// Row-for-row, bit-for-bit equality of two batches, layout flags included.
+void ExpectSameBatch(const TupleBatch& got, const TupleBatch& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.uniform_dense(), want.uniform_dense());
+  EXPECT_EQ(got.uniform_dim(), want.uniform_dim());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.id(i), want.id(i)) << "row " << i;
+    ASSERT_EQ(std::memcmp(&got.labels_data()[i], &want.labels_data()[i],
+                          sizeof(double)),
+              0)
+        << "row " << i;
+    ASSERT_EQ(got.sparse(i), want.sparse(i)) << "row " << i;
+    ASSERT_EQ(got.nnz(i), want.nnz(i)) << "row " << i;
+    const size_t n = want.nnz(i);
+    if (n == 0) continue;
+    ASSERT_EQ(std::memcmp(got.values(i), want.values(i), n * sizeof(float)), 0)
+        << "row " << i;
+    if (want.sparse(i)) {
+      ASSERT_EQ(std::memcmp(got.keys(i), want.keys(i), n * sizeof(uint32_t)),
+                0)
+          << "row " << i;
+    }
+  }
+}
+
+enum class DecodeShape { kDense, kSparse, kMixedWidth, kZeroNnz };
+
+std::vector<Tuple> MakeShapedTuples(DecodeShape shape, size_t n) {
+  Rng rng(2024);
+  std::vector<Tuple> out;
+  for (size_t i = 0; i < n; ++i) {
+    const double label = rng.NextBool() ? 1.0 : -1.0;
+    const bool sparse_row =
+        shape == DecodeShape::kSparse ||
+        ((shape == DecodeShape::kMixedWidth || shape == DecodeShape::kZeroNnz) &&
+         i % 3 == 1);
+    size_t width = 6;
+    if (shape == DecodeShape::kMixedWidth) width = 1 + rng.Uniform(9);
+    if (shape == DecodeShape::kZeroNnz && i % 3 != 1) width = i % 2 ? 0 : 3;
+    if (sparse_row) {
+      std::vector<uint32_t> keys;
+      std::vector<float> vals;
+      for (uint32_t k = 0; k < 40 && keys.size() < 5; ++k) {
+        if (rng.NextBool(0.3)) {
+          keys.push_back(k);
+          vals.push_back(static_cast<float>(rng.NextGaussian()));
+        }
+      }
+      if (keys.empty()) {
+        keys.push_back(7);
+        vals.push_back(-0.0f);
+      }
+      out.push_back(MakeSparseTuple(i, label, std::move(keys), std::move(vals)));
+    } else {
+      std::vector<float> vals(width);
+      for (auto& v : vals) v = static_cast<float>(rng.NextGaussian());
+      out.push_back(MakeDenseTuple(i, label, std::move(vals)));
+    }
+  }
+  return out;
+}
+
+struct DecodeCase {
+  DecodeShape shape;
+  bool compress;
+  bool pool;
+};
+
+class TableBatchReadTest : public ::testing::TestWithParam<DecodeCase> {};
+
+// The batch sink against the Tuple sink + per-row TupleBatch::Append: same
+// rows, same layout flags, same simulated I/O and decompression time, same
+// pool counters, for whole-table and block-by-block reads.
+TEST_P(TableBatchReadTest, MatchesTupleReadPlusAppend) {
+  const DecodeCase c = GetParam();
+  const std::string path =
+      TempPath("tbl_batch_read_" + std::to_string(static_cast<int>(c.shape)) +
+               (c.compress ? "_z" : "") + (c.pool ? "_pool" : "") + ".dat");
+  Schema schema{"t", 40, c.shape == DecodeShape::kSparse, LabelType::kBinary,
+                2};
+  auto tuples = MakeShapedTuples(c.shape, 300);
+  TableBuilder builder(schema, path, TableOptions{512, c.compress});
+  for (const auto& t : tuples) ASSERT_TRUE(builder.Append(t).ok());
+  auto table = builder.Finish();
+  ASSERT_TRUE(table.ok());
+  const uint64_t pages = (*table)->num_pages();
+  ASSERT_GT(pages, 4u);
+  const TableSnapshot snap = (*table)->Snapshot();
+
+  for (const uint64_t block_pages : {pages, uint64_t{3}}) {
+    SimClock tuple_clock;
+    SimClock batch_clock;
+    BufferManager tuple_pool(1 << 20);
+    BufferManager batch_pool(1 << 20);
+
+    (*table)->SetIoAccounting(DeviceProfile::Hdd(), &tuple_clock, nullptr);
+    (*table)->SetBufferManager(c.pool ? &tuple_pool : nullptr);
+    (*table)->ResetReadCursor();
+    TupleBatch want;
+    for (uint64_t first = 0; first < pages; first += block_pages) {
+      std::vector<Tuple> rows;
+      ASSERT_TRUE(snap.ReadTuplesFromPages(
+                          first, std::min(block_pages, pages - first), &rows)
+                      .ok());
+      for (const Tuple& t : rows) want.Append(t);
+    }
+
+    (*table)->SetIoAccounting(DeviceProfile::Hdd(), &batch_clock, nullptr);
+    (*table)->SetBufferManager(c.pool ? &batch_pool : nullptr);
+    (*table)->ResetReadCursor();
+    TupleBatch got;
+    for (uint64_t first = 0; first < pages; first += block_pages) {
+      ASSERT_TRUE(snap.ReadTuplesFromPages(
+                          first, std::min(block_pages, pages - first), &got)
+                      .ok());
+    }
+
+    ASSERT_EQ(want.size(), tuples.size());
+    ExpectSameBatch(got, want);
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      EXPECT_EQ(got.ToTuple(i), tuples[i]) << "row " << i;
+    }
+    for (auto cat : {TimeCategory::kIoRead, TimeCategory::kDecompress}) {
+      EXPECT_EQ(batch_clock.Elapsed(cat), tuple_clock.Elapsed(cat));
+    }
+    if (c.compress) {
+      EXPECT_GT(batch_clock.Elapsed(TimeCategory::kDecompress), 0.0);
+    }
+    EXPECT_EQ(batch_pool.stats().hits, tuple_pool.stats().hits);
+    EXPECT_EQ(batch_pool.stats().misses, tuple_pool.stats().misses);
+  }
+  (*table)->SetBufferManager(nullptr);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TableBatchReadTest,
+    ::testing::Values(DecodeCase{DecodeShape::kDense, false, false},
+                      DecodeCase{DecodeShape::kDense, false, true},
+                      DecodeCase{DecodeShape::kSparse, false, false},
+                      DecodeCase{DecodeShape::kSparse, false, true},
+                      DecodeCase{DecodeShape::kMixedWidth, false, false},
+                      DecodeCase{DecodeShape::kMixedWidth, false, true},
+                      DecodeCase{DecodeShape::kZeroNnz, false, false},
+                      DecodeCase{DecodeShape::kZeroNnz, false, true},
+                      DecodeCase{DecodeShape::kDense, true, false},
+                      DecodeCase{DecodeShape::kDense, true, true},
+                      DecodeCase{DecodeShape::kSparse, true, false},
+                      DecodeCase{DecodeShape::kSparse, true, true},
+                      DecodeCase{DecodeShape::kMixedWidth, true, false},
+                      DecodeCase{DecodeShape::kMixedWidth, true, true},
+                      DecodeCase{DecodeShape::kZeroNnz, true, false},
+                      DecodeCase{DecodeShape::kZeroNnz, true, true}));
+
+// Writes one heap page holding `records` verbatim and opens it as a table.
+std::unique_ptr<Table> TableFromRawRecords(
+    const std::string& path, const std::vector<std::vector<uint8_t>>& records) {
+  {
+    auto file = HeapFile::Create(path, 512);
+    EXPECT_TRUE(file.ok());
+    if (!file.ok()) return nullptr;
+    Page page(512);
+    for (const auto& r : records) EXPECT_TRUE(page.AddRecord(r.data(), r.size()));
+    EXPECT_TRUE((*file)->AppendPage(page).ok());
+    EXPECT_TRUE((*file)->Sync().ok());
+  }
+  auto table = Table::Open(path, Schema{"t", 8, false, LabelType::kBinary, 2},
+                           TableOptions{512, false});
+  EXPECT_TRUE(table.ok());
+  return table.ok() ? std::move(table).ValueOrDie() : nullptr;
+}
+
+// A record with the sparse flag set and nnz 0 (SerializeTo never writes
+// one) reads back as a dense row of width 0 through both sinks.
+TEST(TableBatchReadTest, SparseFlagWithZeroNnzIsDenseWidthZero) {
+  std::vector<uint8_t> flagged;
+  MakeDenseTuple(5, 1.0, {}).SerializeTo(&flagged);
+  flagged[sizeof(uint64_t) + sizeof(double) + sizeof(uint32_t)] = 1;
+  std::vector<uint8_t> plain;
+  MakeDenseTuple(6, -1.0, {}).SerializeTo(&plain);
+  const std::string path = TempPath("tbl_flag_zero.dat");
+  auto table = TableFromRawRecords(path, {flagged, plain});
+  ASSERT_NE(table, nullptr);
+
+  std::vector<Tuple> rows;
+  ASSERT_TRUE(table->ReadTuplesFromPages(0, 1, &rows).ok());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_FALSE(rows[0].sparse());
+  EXPECT_EQ(rows[0].nnz(), 0u);
+  TupleBatch want;
+  for (const Tuple& t : rows) want.Append(t);
+
+  TupleBatch got;
+  ASSERT_TRUE(table->Snapshot().ReadTuplesFromPages(0, 1, &got).ok());
+  ExpectSameBatch(got, want);
+  EXPECT_FALSE(got.sparse(0));
+  EXPECT_EQ(got.keys(0), nullptr);
+  EXPECT_TRUE(got.uniform_dense());
+  EXPECT_EQ(got.uniform_dim(), 0u);
+  std::remove(path.c_str());
+}
+
+// A truncated record inside a page whose CRC and slot directory are valid
+// is caught by the wire parser, through both sinks.
+TEST(TableBatchReadTest, TruncatedRecordIsCorruptionThroughBothSinks) {
+  std::vector<uint8_t> good;
+  MakeSparseTuple(1, 1.0, {2, 9}, {0.5f, 1.5f}).SerializeTo(&good);
+  for (size_t cut : {size_t{3}, size_t{9}, good.size() - 10}) {
+    std::vector<uint8_t> truncated(good.begin(), good.end() - cut);
+    const std::string path = TempPath("tbl_trunc_rec.dat");
+    auto table = TableFromRawRecords(path, {good, truncated});
+    ASSERT_NE(table, nullptr);
+    std::vector<Tuple> rows;
+    EXPECT_TRUE(table->ReadTuplesFromPages(0, 1, &rows).IsCorruption())
+        << "cut " << cut;
+    TupleBatch batch;
+    EXPECT_TRUE(
+        table->Snapshot().ReadTuplesFromPages(0, 1, &batch).IsCorruption())
+        << "cut " << cut;
+    TupleBatch direct;
+    EXPECT_TRUE(direct.AppendWire(truncated.data(), truncated.size())
+                    .IsCorruption());
+    EXPECT_TRUE(direct.empty());
+    std::remove(path.c_str());
+  }
+}
+
+// AppendRange must equal per-row AppendFrom, including when it
+// concatenates ranges of batches with different widths and shapes.
+TEST(TupleBatchRangeTest, AppendRangeEqualsPerRowAppendFrom) {
+  std::vector<TupleBatch> sources(5);
+  Rng rng(77);
+  for (size_t i = 0; i < 20; ++i) {
+    std::vector<float> four(4), seven(7);
+    for (auto& v : four) v = static_cast<float>(rng.NextGaussian());
+    for (auto& v : seven) v = static_cast<float>(rng.NextGaussian());
+    sources[0].Append(MakeDenseTuple(i, 1.0, four));
+    sources[1].Append(MakeDenseTuple(100 + i, -1.0, seven));
+    const auto last_key = static_cast<uint32_t>(9 + i);
+    sources[2].Append(MakeSparseTuple(200 + i, 1.0, {1, 5, last_key},
+                                      {four[0], four[1], four[2]}));
+    sources[3].Append(MakeDenseTuple(300 + i, -1.0, {}));
+    if (i % 2 == 0) {
+      sources[4].Append(MakeDenseTuple(400 + i, 1.0, four));
+    } else {
+      sources[4].Append(MakeSparseTuple(400 + i, 1.0, {3}, {seven[0]}));
+    }
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    TupleBatch bulk;
+    TupleBatch per_row;
+    const size_t pieces = 1 + rng.Uniform(4);
+    for (size_t piece = 0; piece < pieces; ++piece) {
+      const TupleBatch& src = sources[rng.Uniform(sources.size())];
+      const size_t begin = rng.Uniform(src.size() + 1);
+      const size_t end = begin + rng.Uniform(src.size() - begin + 1);
+      bulk.AppendRange(src, begin, end);
+      for (size_t i = begin; i < end; ++i) per_row.AppendFrom(src, i);
+      ExpectSameBatch(bulk, per_row);
+    }
+    // Clear() keeps working after a bulk append.
+    bulk.Clear();
+    bulk.AppendRange(sources[0], 0, 3);
+    EXPECT_TRUE(bulk.uniform_dense());
+    EXPECT_EQ(bulk.uniform_dim(), 4u);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "util/config.h"
+#include "util/crc32c.h"
 #include "util/logging.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -293,6 +294,88 @@ TEST(LoggingTest, DcheckPassesOnTrue) {
   // A passing DCHECK emits nothing and does not abort.
   CORGI_DCHECK(1 + 1 == 2) << "unreachable";
   SUCCEED();
+}
+
+// RFC 3720 (iSCSI) appendix B.4 check values, on both implementations.
+TEST(Crc32cTest, Rfc3720CheckValues) {
+  std::vector<uint8_t> zeros(32, 0x00);
+  std::vector<uint8_t> ones(32, 0xFF);
+  std::vector<uint8_t> ascending(32);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+  }
+  const std::string digits = "123456789";
+  EXPECT_EQ(Crc32c(digits.data(), digits.size()), 0xE3069283u);
+  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(ascending.data(), ascending.size()), 0x46DD794Eu);
+  EXPECT_EQ(crc32c_internal::ExtendPortable(0, digits.data(), digits.size()),
+            0xE3069283u);
+  EXPECT_EQ(crc32c_internal::ExtendPortable(0, zeros.data(), zeros.size()),
+            0x8A9136AAu);
+  if (crc32c_internal::HardwareAvailable()) {
+    EXPECT_EQ(crc32c_internal::ExtendHardware(0, digits.data(), digits.size()),
+              0xE3069283u);
+    EXPECT_EQ(crc32c_internal::ExtendHardware(0, zeros.data(), zeros.size()),
+              0x8A9136AAu);
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesPortableBitForBit) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 on this CPU";
+  }
+  constexpr size_t kMaxLen = 9000;
+  Rng rng(0xC3C3);
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  for (size_t len = 65; len <= kMaxLen; len += 61) lengths.push_back(len);
+  for (size_t len : {4095, 4096, 4097, 8191, 8192, 8193, 9000}) {
+    lengths.push_back(len);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len : lengths) {
+      const uint8_t* p = buf.data() + offset;
+      const auto seed = static_cast<uint32_t>(rng.Next64());
+      ASSERT_EQ(crc32c_internal::ExtendHardware(0, p, len),
+                crc32c_internal::ExtendPortable(0, p, len))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32c_internal::ExtendHardware(seed, p, len),
+                crc32c_internal::ExtendPortable(seed, p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, SplitExtendChainsMatchOneShot) {
+  Rng rng(0x5A5A);
+  std::vector<uint8_t> buf(9000);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  const bool hw = crc32c_internal::HardwareAvailable();
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t len = rng.Uniform(buf.size() + 1);
+    const size_t cut1 = rng.Uniform(len + 1);
+    const size_t cut2 = cut1 + rng.Uniform(len - cut1 + 1);
+    const uint32_t whole = crc32c_internal::ExtendPortable(0, buf.data(), len);
+    EXPECT_EQ(Crc32c(buf.data(), len), whole);
+    uint32_t chained = Crc32c(buf.data(), cut1);
+    chained = Crc32cExtend(chained, buf.data() + cut1, cut2 - cut1);
+    chained = Crc32cExtend(chained, buf.data() + cut2, len - cut2);
+    EXPECT_EQ(chained, whole) << "len " << len << " cuts " << cut1 << ","
+                              << cut2;
+    if (hw) {
+      // A chain may switch implementation at any cut.
+      uint32_t mixed = crc32c_internal::ExtendHardware(0, buf.data(), cut1);
+      mixed = crc32c_internal::ExtendPortable(mixed, buf.data() + cut1,
+                                              cut2 - cut1);
+      mixed = crc32c_internal::ExtendHardware(mixed, buf.data() + cut2,
+                                              len - cut2);
+      EXPECT_EQ(mixed, whole) << "len " << len << " cuts " << cut1 << ","
+                              << cut2;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
