@@ -1,6 +1,8 @@
 // Multi-session sweep — concurrent sessions × table shards on the
-// snapshot engine, A/B'd against the legacy global-scan-lock baseline
-// (Database::set_serialize_scans re-enables the old `scan_mu_` behavior).
+// snapshot engine, A/B'd against a global-scan-lock baseline built here:
+// in the scan_lock cells one bench-side mutex is held around every
+// EVALUATE and every INSERT, which serializes them the way the engine's
+// old `scan_mu_` did.
 //
 // Grid: sessions {1, 2, 4} × shards {1, 4} × {snapshot, scan_lock}. Every
 // session runs the same scan-bound EVALUATE workload against one shared
@@ -26,6 +28,7 @@
 #include "bench_common.h"
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,10 +74,17 @@ bool SameReport(const BinaryReport& a, const BinaryReport& b) {
 
 // `sessions` concurrent scanners (EVALUATE × `scans_each`) plus one ingest
 // session streaming inserts into a side table. Every report is compared
-// against `reference` bit-for-bit.
+// against `reference` bit-for-bit. With `scan_lock` every statement runs
+// under one mutex (the serialized baseline).
 CellResult RunCell(Database* db, const Dataset& ds, uint32_t sessions,
-                   uint64_t scans_each, const BinaryReport& reference) {
+                   uint64_t scans_each, const BinaryReport& reference,
+                   bool scan_lock) {
   CellResult cell;
+  std::mutex scan_mu;
+  auto maybe_lock = [&] {
+    return scan_lock ? std::unique_lock<std::mutex>(scan_mu)
+                     : std::unique_lock<std::mutex>();
+  };
   std::vector<std::unique_ptr<Session>> scanners;
   for (uint32_t s = 0; s < sessions; ++s) {
     SessionOptions opts;
@@ -89,7 +99,10 @@ CellResult RunCell(Database* db, const Dataset& ds, uint32_t sessions,
   for (uint32_t s = 0; s < sessions; ++s) {
     threads.emplace_back([&, s] {
       for (uint64_t r = 0; r < scans_each; ++r) {
-        auto report = scanners[s]->Evaluate(EvaluateStatement{"susy", "m"});
+        Result<BinaryReport> report = [&] {
+          auto lock = maybe_lock();
+          return scanners[s]->Evaluate(EvaluateStatement{"susy", "m"});
+        }();
         if (!report.ok() || !SameReport(*report, reference)) ok[s] = 0;
       }
     });
@@ -97,8 +110,10 @@ CellResult RunCell(Database* db, const Dataset& ds, uint32_t sessions,
   std::thread inserter([&] {
     const Schema schema = ds.MakeSchema();
     for (uint64_t b = 0; b < 4; ++b) {
-      Status st =
-          ingest->Insert("stream", InsertBatch(schema, b * 64, 64));
+      Status st = [&] {
+        auto lock = maybe_lock();
+        return ingest->Insert("stream", InsertBatch(schema, b * 64, 64));
+      }();
       if (!st.ok()) std::fprintf(stderr, "insert: %s\n", st.ToString().c_str());
     }
   });
@@ -169,10 +184,10 @@ int main(int argc, char** argv) {
     }
 
     for (uint32_t sessions : {1u, 2u, 4u}) {
-      db.set_serialize_scans(true);
-      CellResult lock = RunCell(&db, ds, sessions, scans_each, *reference);
-      db.set_serialize_scans(false);
-      CellResult snap = RunCell(&db, ds, sessions, scans_each, *reference);
+      CellResult lock = RunCell(&db, ds, sessions, scans_each, *reference,
+                                /*scan_lock=*/true);
+      CellResult snap = RunCell(&db, ds, sessions, scans_each, *reference,
+                                /*scan_lock=*/false);
 
       // Claim (1): bit-identical reports from every concurrent session.
       if (!lock.reports_match || !snap.reports_match) {

@@ -1,12 +1,13 @@
 #include "dataloader/dataset_api.h"
 
 #include <algorithm>
-#include <numeric>
+
+#include "shuffle/epoch_plan.h"
 
 namespace corgipile {
 
 CorgiPileDataset::CorgiPileDataset(BlockSource* source, Options options)
-    : source_(source), options_(options), shuffle_rng_(options.seed) {
+    : source_(source), options_(options) {
   if (options_.buffer_tuples == 0) options_.buffer_tuples = 1;
 }
 
@@ -18,26 +19,12 @@ Status CorgiPileDataset::StartEpoch(uint64_t epoch, uint32_t worker_id,
   }
   status_ = Status::OK();
 
-  // All workers run this with the same seed → identical permutation; the
-  // shards are therefore disjoint and cover all blocks (§5.1 step 2).
-  const uint32_t n = source_->num_blocks();
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  if (options_.shuffle_blocks) {
-    Rng perm_rng(options_.seed ^ (epoch * 0x9E3779B97F4A7C15ULL));
-    perm_rng.Shuffle(order);
-  }
-
-  const uint32_t base = n / num_workers;
-  const uint32_t extra = n % num_workers;
-  const uint32_t begin =
-      worker_id * base + std::min(worker_id, extra);
-  const uint32_t count = base + (worker_id < extra ? 1u : 0u);
-  shard_.assign(order.begin() + begin, order.begin() + begin + count);
-
-  // Per-worker tuple-shuffle RNG: distinct per worker and epoch.
-  shuffle_rng_ = Rng(options_.seed ^ (epoch * 1315423911ULL) ^
-                     (static_cast<uint64_t>(worker_id) << 32));
+  // All workers slice the same epoch permutation, so the shards are
+  // disjoint and cover all blocks (§5.1 step 2).
+  shard_ = EpochBlockOrder(options_.seed, epoch, source_->num_blocks(),
+                           options_.shuffle_blocks, /*blocks_per_epoch=*/0,
+                           worker_id, num_workers);
+  buffer_rng_ = EpochBufferRng(BufferSeed(options_.seed), epoch, worker_id);
   next_block_ = 0;
   buffer_.clear();
   pos_ = 0;
@@ -57,7 +44,7 @@ bool CorgiPileDataset::RefillBuffer() {
     ++next_block_;
   }
   if (buffer_.empty()) return false;
-  if (options_.shuffle_tuples) shuffle_rng_.Shuffle(buffer_);
+  if (options_.shuffle_tuples) buffer_rng_.Shuffle(buffer_);
   return true;
 }
 

@@ -61,11 +61,12 @@ class IterableDataset {
 
 /// The paper's CorgiPileDataset (§5.1).
 ///
-/// Block partitioning: all workers shuffle the full block index with the
-/// same epoch seed, so the permutation agrees; worker i keeps the i-th of
+/// Block partitioning: all workers take the same epoch permutation from the
+/// epoch plan (shuffle/epoch_plan.h); worker i keeps the i-th of
 /// num_workers contiguous slices. Tuple shuffle: blocks stream through a
 /// per-worker buffer of `buffer_tuples`; each full buffer is shuffled
-/// before its tuples are emitted.
+/// before its tuples are emitted, from the plan's per-(epoch, worker)
+/// buffer stream.
 class CorgiPileDataset : public IterableDataset {
  public:
   struct Options {
@@ -100,7 +101,7 @@ class CorgiPileDataset : public IterableDataset {
   size_t next_block_ = 0;
   std::vector<Tuple> buffer_;
   size_t pos_ = 0;
-  Rng shuffle_rng_;
+  Rng buffer_rng_;
   Status status_;
 };
 

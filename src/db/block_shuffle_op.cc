@@ -1,13 +1,15 @@
 #include "db/block_shuffle_op.h"
 
 #include <algorithm>
-#include <numeric>
+
+#include "shuffle/epoch_plan.h"
 
 namespace corgipile {
 
 BlockShuffleOp::BlockShuffleOp(ShardedSnapshot snapshot, Options options)
-    : WithStreamState("BlockShuffle"), snapshot_(std::move(snapshot)),
-      options_(options), rng_(options.seed) {}
+    : WithStreamState("BlockShuffle"),
+      source_(std::move(snapshot), options.block_size_bytes),
+      options_(options) {}
 
 BlockShuffleOp::BlockShuffleOp(Table* table, Options options)
     : BlockShuffleOp(table == nullptr
@@ -16,23 +18,9 @@ BlockShuffleOp::BlockShuffleOp(Table* table, Options options)
                      options) {}
 
 Status BlockShuffleOp::Init() {
-  if (!snapshot_.valid()) return Status::InvalidArgument("empty snapshot");
-  pages_per_block_ = std::max<uint64_t>(
-      1, options_.block_size_bytes / snapshot_.options().page_size);
-  // Shard-major block enumeration: at shards=1 the ids and geometry are
-  // exactly the pre-sharding ones, so a given seed replays the same order.
-  blocks_.clear();
-  for (size_t s = 0; s < snapshot_.num_shards(); ++s) {
-    const uint64_t pages = snapshot_.shard(s).num_pages();
-    for (uint64_t first = 0; first < pages; first += pages_per_block_) {
-      BlockRef ref;
-      ref.shard = static_cast<uint32_t>(s);
-      ref.first_page = first;
-      ref.page_count = std::min<uint64_t>(pages_per_block_, pages - first);
-      blocks_.push_back(ref);
-    }
+  if (!source_.snapshot().valid()) {
+    return Status::InvalidArgument("empty snapshot");
   }
-  num_blocks_ = static_cast<uint32_t>(blocks_.size());
   initialized_ = true;
   epoch_ = 0;
   return ReScan();
@@ -41,18 +29,13 @@ Status BlockShuffleOp::Init() {
 Status BlockShuffleOp::ReScan() {
   if (!initialized_) return Status::Internal("ReScan before Init");
   clear_status();
-  block_order_.resize(num_blocks_);
-  std::iota(block_order_.begin(), block_order_.end(), 0u);
-  if (options_.shuffle_blocks) {
-    Rng epoch_rng = rng_.Fork(epoch_);
-    epoch_rng.Shuffle(block_order_);
-  }
-  ++epoch_;
+  block_order_ = EpochBlockOrder(options_.seed, epoch_++, num_blocks(),
+                                 options_.shuffle_blocks);
   next_block_ = 0;
   current_block_.Clear();
   pos_ = 0;
   quarantine().BeginEpoch();
-  snapshot_.ResetReadCursors();
+  source_.Reset();
   return Status::OK();
 }
 
@@ -66,22 +49,15 @@ Status BlockShuffleOp::SkipEpochs(uint64_t n) {
 
 bool BlockShuffleOp::LoadNextBlock() {
   while (next_block_ < block_order_.size()) {
-    const BlockRef& ref = blocks_[block_order_[next_block_++]];
-    const TableSnapshot& shard = snapshot_.shard(ref.shard);
+    const uint32_t block = block_order_[next_block_++];
     current_block_.Clear();
     pos_ = 0;
-    Status st = shard.ReadTuplesFromPages(ref.first_page, ref.page_count,
-                                          &current_block_);
+    Status st = source_.ReadBlock(block, &current_block_);
     if (!st.ok()) {
       // Quarantine: drop whatever the partial read produced and move on.
       current_block_.Clear();
-      uint64_t lost = 0;
-      for (uint64_t p = ref.first_page; p < ref.first_page + ref.page_count;
-           ++p) {
-        lost += shard.TuplesInPage(p);
-      }
-      Status admitted =
-          quarantine().Admit(st, options_.tolerance, lost, num_blocks_);
+      Status admitted = quarantine().Admit(
+          st, options_.tolerance, source_.TuplesInBlock(block), num_blocks());
       if (!admitted.ok()) {
         set_status(std::move(admitted));
         return false;

@@ -8,10 +8,11 @@
 //
 // Sharded tables (DESIGN.md §14): the op reads through a ShardedSnapshot
 // captured before the epoch loop, so concurrent inserts never shift its
-// block geometry. Global block ids enumerate shard-major — all of shard
-// 0's blocks, then shard 1's, … — which makes the id space (and hence the
-// seeded shuffle order) at shards=1 bit-identical to the pre-sharding
-// operator.
+// block geometry. The geometry is SnapshotBlockSource's shard-major one —
+// all of shard 0's blocks, then shard 1's, … — which makes the id space
+// (and hence the seeded shuffle order) at shards=1 bit-identical to the
+// pre-sharding operator. The block order of each epoch comes from the
+// epoch plan (shuffle/epoch_plan.h).
 
 #pragma once
 
@@ -21,7 +22,6 @@
 #include "storage/block_source.h"
 #include "storage/sharded_table.h"
 #include "storage/table.h"
-#include "util/rng.h"
 #include "util/stream_base.h"
 
 namespace corgipile {
@@ -53,25 +53,14 @@ class BlockShuffleOp : public WithStreamState<PhysicalOperator> {
   Status SkipEpochs(uint64_t n) override;
   void Close() override;
 
-  uint32_t num_blocks() const { return num_blocks_; }
-  uint64_t pages_per_block() const { return pages_per_block_; }
+  uint32_t num_blocks() const { return source_.num_blocks(); }
+  uint64_t pages_per_block() const { return source_.pages_per_block(); }
 
  private:
-  /// One block = `page_count` contiguous pages of one shard.
-  struct BlockRef {
-    uint32_t shard = 0;
-    uint64_t first_page = 0;
-    uint64_t page_count = 0;
-  };
-
   bool LoadNextBlock();
 
-  ShardedSnapshot snapshot_;
+  SnapshotBlockSource source_;
   Options options_;
-  Rng rng_;
-  uint64_t pages_per_block_ = 1;
-  uint32_t num_blocks_ = 0;
-  std::vector<BlockRef> blocks_;
   std::vector<uint32_t> block_order_;
   size_t next_block_ = 0;
   /// The decoded block, reused across blocks so its arenas stop growing

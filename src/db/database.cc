@@ -9,6 +9,7 @@
 #include "db/stream_adapter_op.h"
 #include "db/tuple_shuffle_op.h"
 #include "exec/shard_scan.h"
+#include "shuffle/epoch_plan.h"
 #include "shuffle/tuple_stream.h"
 #include "storage/block_source.h"
 #include "ml/linear_models.h"
@@ -187,10 +188,6 @@ Status Database::Insert(const std::string& table,
   // No scan lock: the append becomes visible to future snapshots only via
   // the atomic publish inside ShardedTable::AppendTuples; scans in flight
   // keep reading their captured snapshots.
-  if (serialize_scans()) {
-    MutexLock lock(baseline_scan_mu_);
-    return entry->table->AppendTuples(tuples);
-  }
   return entry->table->AppendTuples(tuples);
 }
 
@@ -222,13 +219,6 @@ Result<ShardedTable*> Database::GetShardedTable(const std::string& name) {
 Status Database::CollectForRead(const ShardedSnapshot& snap,
                                 std::vector<Tuple>* out) {
   ShardScanOptions opts;
-  if (serialize_scans()) {
-    // Baseline A/B mode: the old global-scan-lock behavior, sequential
-    // merge under one mutex (see set_serialize_scans).
-    MutexLock lock(baseline_scan_mu_);
-    snap.ResetReadCursors();
-    return CollectSnapshot(snap, opts, out);
-  }
   if (snap.num_shards() > 1) opts.pool = scan_pool();
   snap.ResetReadCursors();
   return CollectSnapshot(snap, opts, out);
@@ -458,7 +448,7 @@ Result<InDbTrainResult> Database::Train(const TrainStatement& stmt) {
           1, static_cast<uint64_t>(
                  buffer_fraction * static_cast<double>(scan_snap.num_tuples())));
       topts.double_buffer = double_buffer;
-      topts.seed = static_cast<uint64_t>(seed) ^ 0x7F;
+      topts.seed = BufferSeed(static_cast<uint64_t>(seed));
       topts.clock = &clock_;
       tuple_op = std::make_unique<TupleShuffleOp>(block_op.get(), topts);
       top = tuple_op.get();

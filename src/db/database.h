@@ -15,7 +15,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -145,17 +144,6 @@ class Database {
   void set_serve_options(const ServeOptions& opts) { serve_options_ = opts; }
   const ServeOptions& serve_options() const { return serve_options_; }
 
-  /// Benchmark baseline: when true, every table scan and insert funnels
-  /// through one mutex and merge scans run sequentially — the old
-  /// `scan_mu_` behavior bench_session_sweep compares the snapshot engine
-  /// against. Off by default.
-  void set_serialize_scans(bool on) {
-    serialize_scans_.store(on, std::memory_order_release);
-  }
-  bool serialize_scans() const {
-    return serialize_scans_.load(std::memory_order_acquire);
-  }
-
   SimClock& clock() { return clock_; }
   IoStats& io_stats() { return io_stats_; }
   ModelStore& models() { return models_; }
@@ -190,8 +178,8 @@ class Database {
                       bool compress, uint32_t page_size, TableEntry entry)
       CORGI_REQUIRES(catalog_mu_);
 
-  /// Scans a snapshot into a tuple vector, honoring the serialize-scans
-  /// baseline and using the shared scan pool for multi-shard snapshots.
+  /// Scans a snapshot into a tuple vector, using the shared scan pool for
+  /// multi-shard snapshots.
   Status CollectForRead(const ShardedSnapshot& snap, std::vector<Tuple>* out);
 
   /// Lazily built pool shared by all multi-shard merge scans.
@@ -223,11 +211,6 @@ class Database {
   /// Built on first multi-shard scan; guarded by pool_mu_.
   mutable Mutex pool_mu_;
   std::unique_ptr<ThreadPool> scan_pool_ CORGI_GUARDED_BY(pool_mu_);
-
-  std::atomic<bool> serialize_scans_{false};
-  /// Engaged only when serialize_scans() — the legacy global-scan-lock
-  /// baseline, kept for A/B measurement, not correctness.
-  mutable Mutex baseline_scan_mu_;
 
   ModelStore models_;
   ServeOptions serve_options_ = [] {

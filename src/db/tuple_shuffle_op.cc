@@ -4,13 +4,13 @@
 #include <numeric>
 
 #include "iosim/fault_plane.h"
+#include "shuffle/epoch_plan.h"
 #include "util/timer.h"
 
 namespace corgipile {
 
 TupleShuffleOp::TupleShuffleOp(PhysicalOperator* child, Options options)
-    : child_(child), options_(options), rng_(options.seed),
-      epoch_rng_(rng_.Fork(0)) {
+    : child_(child), options_(options) {
   if (options_.buffer_tuples == 0) options_.buffer_tuples = 1;
 }
 
@@ -26,7 +26,7 @@ Status TupleShuffleOp::Init() {
   if (child_ == nullptr) return Status::InvalidArgument("null child");
   CORGI_RETURN_NOT_OK(child_->Init());
   epoch_ = 0;
-  epoch_rng_ = rng_.Fork(epoch_);
+  buffer_rng_ = EpochBufferRng(options_.seed, epoch_);
   if (options_.double_buffer) StartProducer();
   return Status::OK();
 }
@@ -63,7 +63,7 @@ std::optional<TupleShuffleOp::Batch> TupleShuffleOp::FillBatch() {
     std::iota(batch.perm.begin(), batch.perm.end(), 0u);
     // Fisher–Yates over indices: consumes the same RNG draws as shuffling
     // the tuples themselves, so emission order matches the legacy buffer.
-    epoch_rng_.Shuffle(batch.perm);
+    buffer_rng_.Shuffle(batch.perm);
   }
   batch.fill_seconds = (IoElapsed() - io_before) + timer.ElapsedSeconds();
   uint64_t prev = peak_buffer_.load();
@@ -83,7 +83,8 @@ void TupleShuffleOp::StartProducer() {
 void TupleShuffleOp::StopProducer() {
   if (!producer_.joinable()) return;
   // Wakes a producer blocked on a full channel (and poisons any further
-  // pushes); joining hands child_/rng_ ownership back to this thread.
+  // pushes); joining hands child_/buffer_rng_ ownership back to this
+  // thread.
   channel_->Cancel(Status::Cancelled("TupleShuffleOp consumer closed"));
   producer_.join();
   producer_ = std::thread();
@@ -182,7 +183,7 @@ Status TupleShuffleOp::ReScan() {
   pos_ = 0;
   CORGI_RETURN_NOT_OK(child_->ReScan());
   ++epoch_;
-  epoch_rng_ = rng_.Fork(epoch_);
+  buffer_rng_ = EpochBufferRng(options_.seed, epoch_);
   {
     MutexLock lock(status_mu_);
     status_ = Status::OK();
@@ -194,7 +195,7 @@ Status TupleShuffleOp::ReScan() {
 Status TupleShuffleOp::SkipEpochs(uint64_t n) {
   if (n == 0) return Status::OK();
   // Joining the producer discards any epoch-state batches it pre-filled
-  // and hands child_/epoch_rng_ ownership back to this thread.
+  // and hands child_/buffer_rng_ ownership back to this thread.
   StopProducer();
   have_batch_ = false;
   consume_acc_ = 0.0;
@@ -203,7 +204,7 @@ Status TupleShuffleOp::SkipEpochs(uint64_t n) {
   pos_ = 0;
   CORGI_RETURN_NOT_OK(child_->SkipEpochs(n));
   epoch_ += n;
-  epoch_rng_ = rng_.Fork(epoch_);
+  buffer_rng_ = EpochBufferRng(options_.seed, epoch_);
   {
     MutexLock lock(status_mu_);
     status_ = Status::OK();

@@ -21,11 +21,11 @@
 //
 // Thread-safety / ownership: the operator is single-consumer; NextBatch/
 // ReScan/Close must be called from one thread. The producer thread is the only
-// FillBatch caller while it runs (it owns child_ and rng_); ReScan/Close/
-// the destructor cancel + join it before touching any of that state, which
-// is also the synchronization point handing child_/rng_ back to the
-// consumer thread. status_ is the only state shared while both threads are
-// live (guarded by status_mu_); peak_buffer_ is atomic.
+// FillBatch caller while it runs (it owns child_ and buffer_rng_); ReScan/
+// Close/the destructor cancel + join it before touching any of that state,
+// which is also the synchronization point handing child_/buffer_rng_ back
+// to the consumer thread. status_ is the only state shared while both
+// threads are live (guarded by status_mu_); peak_buffer_ is atomic.
 //
 // The operator also records a PipelineTimeline: per buffer, the fill cost
 // (simulated I/O + decompression read through the child, plus real
@@ -60,6 +60,8 @@ class TupleShuffleOp : public PhysicalOperator {
     uint64_t buffer_tuples = 1;
     bool shuffle_tuples = true;
     bool double_buffer = false;
+    /// Buffer seed of the epoch plan (shuffle/epoch_plan.h); TRAIN BY
+    /// passes BufferSeed(seed) of its statement seed.
     uint64_t seed = 42;
     /// Clock whose kIoRead/kDecompress categories the child charges; used
     /// to attribute simulated fill time. May be null.
@@ -76,8 +78,9 @@ class TupleShuffleOp : public PhysicalOperator {
   bool NextBatch(TupleBatch* out) override;
   Status ReScan() override;
   /// Epoch jump without data reads: stops the producer, jumps the epoch
-  /// counter (the buffer-shuffle RNG of epoch e is a pure function of
-  /// (seed, e)), and skips the child. Resumed runs replay exactly.
+  /// counter (the buffer-shuffle RNG of epoch e is the epoch plan's pure
+  /// function of (seed, e)), and skips the child. Resumed runs replay
+  /// exactly.
   Status SkipEpochs(uint64_t n) override;
   /// Stops and joins the producer thread (if any) before releasing the
   /// child, so abandoning the operator mid-epoch neither leaks the thread
@@ -111,7 +114,7 @@ class TupleShuffleOp : public PhysicalOperator {
   double IoElapsed() const;
   /// Pulls from the child until `buffer_tuples` tuples or end; returns an
   /// empty optional at end-of-scan. Must only be called by the thread that
-  /// currently owns child_/rng_ (see the ownership note above).
+  /// currently owns child_/buffer_rng_ (see the ownership note above).
   std::optional<Batch> FillBatch();
 
   void StartProducer();
@@ -125,11 +128,9 @@ class TupleShuffleOp : public PhysicalOperator {
 
   PhysicalOperator* child_;
   Options options_;
-  /// Base stream, never drawn from directly: each epoch's buffer shuffles
-  /// use epoch_rng_ = rng_.Fork(epoch_), a pure function of (seed, epoch),
-  /// so a checkpoint-resumed epoch replays the exact same permutations.
-  Rng rng_;
-  Rng epoch_rng_;
+  /// This epoch's buffer-shuffle stream, EpochBufferRng(seed, epoch_), so
+  /// a checkpoint-resumed epoch replays the exact same permutations.
+  Rng buffer_rng_;
   uint64_t epoch_ = 0;
 
   // Current batch being served (consumer thread only).

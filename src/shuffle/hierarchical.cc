@@ -1,17 +1,16 @@
 #include "shuffle/hierarchical.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "iosim/fault_plane.h"
+#include "shuffle/epoch_plan.h"
 
 namespace corgipile {
 
 HierarchicalBlockStream::HierarchicalBlockStream(const char* name,
                                                  BlockSource* source,
                                                  Options options)
-    : WithStreamState<TupleStream>(name), source_(source), options_(options),
-      epoch_rng_(options.seed), tuple_rng_(options.seed) {
+    : WithStreamState<TupleStream>(name), source_(source), options_(options) {
   if (options_.buffer_tuples == 0) options_.buffer_tuples = 1;
 }
 
@@ -19,21 +18,10 @@ Status HierarchicalBlockStream::StartEpoch(uint64_t epoch) {
   CORGI_INJECT_POINT("shuffle.start_epoch");
   clear_status();
   source_->Reset();
-  const uint32_t n = source_->num_blocks();
-  block_order_.resize(n);
-  std::iota(block_order_.begin(), block_order_.end(), 0u);
-  // Distinct deterministic streams per epoch: stream `epoch` drives the
-  // block permutation and the high-bit sibling drives the buffer shuffles.
-  // Nothing carries over between epochs, so a resumed run replays the same
-  // order.
-  if (options_.shuffle_blocks) {
-    Rng rng = epoch_rng_.Fork(epoch);
-    rng.Shuffle(block_order_);
-  }
-  tuple_rng_ = epoch_rng_.Fork(epoch ^ 0x8000000000000000ull);
-  if (options_.blocks_per_epoch > 0 && options_.blocks_per_epoch < n) {
-    block_order_.resize(options_.blocks_per_epoch);
-  }
+  block_order_ =
+      EpochBlockOrder(options_.seed, epoch, source_->num_blocks(),
+                      options_.shuffle_blocks, options_.blocks_per_epoch);
+  buffer_rng_ = EpochBufferRng(BufferSeed(options_.seed), epoch);
   next_block_ = 0;
   buffer_.clear();
   buffer_pos_ = 0;
@@ -74,7 +62,7 @@ bool HierarchicalBlockStream::RefillBuffer() {
   if (buffer_.empty()) return false;
   peak_buffer_ = std::max<uint64_t>(peak_buffer_, buffer_.size());
   if (options_.shuffle_tuples) {
-    tuple_rng_.Shuffle(buffer_);
+    buffer_rng_.Shuffle(buffer_);
   }
   return true;
 }

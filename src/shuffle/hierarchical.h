@@ -6,10 +6,11 @@
 // of configurable capacity; optionally shuffle the buffered tuples before
 // emitting them (CorgiPile's tuple-level shuffle, §4.1).
 //
-// All per-epoch randomness (block permutation and buffer shuffles) is a
-// pure function of (seed, epoch), so a training run resumed from a
-// checkpoint at epoch e replays exactly the tuple order the original run
-// would have produced from e onward.
+// All per-epoch randomness (block permutation and buffer shuffles) comes
+// from the epoch plan (shuffle/epoch_plan.h), a pure function of (seed,
+// epoch), so a training run resumed from a checkpoint at epoch e replays
+// exactly the tuple order the original run would have produced from e
+// onward.
 //
 // With Options::tolerance.quarantine_corrupt_blocks set, a block whose read
 // fails with kCorruption or kIoError is skipped and counted instead of
@@ -60,8 +61,7 @@ class HierarchicalBlockStream : public WithStreamState<TupleStream> {
 
   BlockSource* source_;
   Options options_;
-  Rng epoch_rng_;
-  Rng tuple_rng_;  // per-epoch fork used for buffer shuffles
+  Rng buffer_rng_;  // this epoch's buffer-shuffle stream
   std::vector<uint32_t> block_order_;
   size_t next_block_ = 0;
   std::vector<Tuple> buffer_;

@@ -94,4 +94,11 @@ Status SnapshotBlockSource::ReadBlock(uint32_t block,
       .ReadTuplesFromPages(ref.first_page, ref.page_count, out);
 }
 
+Status SnapshotBlockSource::ReadBlock(uint32_t block, TupleBatch* out) {
+  if (block >= blocks_.size()) return Status::OutOfRange("block index");
+  const BlockRef& ref = blocks_[block];
+  return snapshot_.shard(ref.shard)
+      .ReadTuplesFromPages(ref.first_page, ref.page_count, out);
+}
+
 }  // namespace corgipile

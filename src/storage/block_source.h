@@ -89,10 +89,12 @@ class TableBlockSource : public BlockSource {
 
 /// Blocks over an immutable ShardedSnapshot: each block is
 /// `pages_per_block` contiguous pages of one shard, enumerated shard-major
-/// (the same geometry as BlockShuffleOp, so at shards=1 the block ids are
-/// identical to TableBlockSource over the same table). Reads never see
-/// concurrently appended pages — the stream-strategy analog of the
-/// snapshot discipline in DESIGN.md §14.
+/// (all of shard 0's blocks, then shard 1's, …), so at shards=1 the block
+/// ids are identical to TableBlockSource over the same table. This is the
+/// one block geometry of the in-database host: BlockShuffleOp reads
+/// through it, and the stream strategies TRAIN BY hosts use it directly.
+/// Reads never see concurrently appended pages (the snapshot discipline in
+/// DESIGN.md §14).
 class SnapshotBlockSource : public BlockSource {
  public:
   /// `block_size_bytes` is rounded down to a whole number of pages
@@ -107,8 +109,12 @@ class SnapshotBlockSource : public BlockSource {
   uint64_t num_tuples() const override { return snapshot_.num_tuples(); }
   uint64_t TuplesInBlock(uint32_t block) const override;
   Status ReadBlock(uint32_t block, std::vector<Tuple>* out) override;
+  /// Batch form: decodes the block's page records straight into `out`'s
+  /// arenas (appending). On error `out` may hold a prefix of the rows.
+  Status ReadBlock(uint32_t block, TupleBatch* out);
   void Reset() override { snapshot_.ResetReadCursors(); }
 
+  const ShardedSnapshot& snapshot() const { return snapshot_; }
   uint64_t pages_per_block() const { return pages_per_block_; }
 
  private:

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
 #include "dataset/catalog.h"
 #include "dataset/loader.h"
 #include "db/block_shuffle_op.h"
+#include "db/database.h"
 #include "db/sgd_op.h"
 #include "db/tuple_shuffle_op.h"
 #include "exec/tuple_batch.h"
@@ -21,6 +23,7 @@
 #include "ml/trainer.h"
 #include "shuffle/tuple_stream.h"
 #include "storage/block_source.h"
+#include "storage/sharded_table.h"
 
 #include "drain.h"
 
@@ -306,6 +309,170 @@ TEST(SgdOpBatchEquivalenceTest, PipelineBitIdentical) {
       EXPECT_EQ(params, reference_params)
           << "exec=" << exec << " dbuf=" << dbuf;
     }
+  }
+}
+
+// FNV-1a over the eight bytes of `v`, folded into `h`.
+uint64_t HashU64(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+// The TRAIN BY pipeline over `table`: BlockShuffle → TupleShuffle with
+// blocks ordered from `seed` and buffers shuffled from the buffer seed
+// `seed ^ 0x7F`, exactly as Database::Train composes them. Returns a hash
+// of the ids emitted over `epochs` epochs and a hash of the params bits of
+// an SgdOp run of the same length.
+struct TrainByHashes {
+  uint64_t ids = 0xCBF29CE484222325ull;
+  uint64_t params = 0xCBF29CE484222325ull;
+};
+
+TrainByHashes HashTrainBy(const ShardedTable& table, const Dataset& ds,
+                          uint64_t seed, bool double_buffer,
+                          uint32_t epochs) {
+  BlockShuffleOp::Options bopts;
+  bopts.block_size_bytes = 8 * table.options().page_size;
+  bopts.seed = seed;
+  TupleShuffleOp::Options topts;
+  topts.buffer_tuples = ds.train->size() / 10;
+  topts.double_buffer = double_buffer;
+  topts.seed = seed ^ 0x7F;
+
+  TrainByHashes out;
+  std::vector<uint64_t> last_epoch;
+  {
+    BlockShuffleOp block_op(table.Snapshot(), bopts);
+    TupleShuffleOp tuple_op(&block_op, topts);
+    EXPECT_TRUE(tuple_op.Init().ok());
+    for (uint32_t e = 0; e < epochs; ++e) {
+      if (e > 0) {
+        EXPECT_TRUE(tuple_op.ReScan().ok());
+      }
+      last_epoch = Ids(DrainRest(&tuple_op));
+      EXPECT_TRUE(tuple_op.status().ok());
+      EXPECT_EQ(last_epoch.size(), ds.train->size());
+      for (uint64_t id : last_epoch) out.ids = HashU64(out.ids, id);
+    }
+    tuple_op.Close();
+  }
+  {
+    // A resumed pipeline jumps straight to the last epoch's order.
+    BlockShuffleOp block_op(table.Snapshot(), bopts);
+    TupleShuffleOp tuple_op(&block_op, topts);
+    EXPECT_TRUE(tuple_op.Init().ok());
+    EXPECT_TRUE(tuple_op.SkipEpochs(epochs - 1).ok());
+    EXPECT_EQ(Ids(DrainRest(&tuple_op)), last_epoch);
+    tuple_op.Close();
+  }
+  BlockShuffleOp block_op(table.Snapshot(), bopts);
+  TupleShuffleOp tuple_op(&block_op, topts);
+  LogisticRegression model(ds.spec.dim);
+  SgdOp::Options sopts;
+  sopts.max_epochs = epochs;
+  sopts.lr.initial = 0.005;
+  SgdOp sgd(&model, &tuple_op, sopts);
+  EXPECT_TRUE(sgd.Init().ok());
+  EXPECT_TRUE(sgd.RunToCompletion().ok());
+  sgd.Close();
+  for (double p : model.params()) {
+    uint64_t bits;
+    std::memcpy(&bits, &p, sizeof(bits));
+    out.params = HashU64(out.params, bits);
+  }
+  return out;
+}
+
+// Golden pin of the TRAIN BY path, the one every benchmark workload runs.
+// Any change to the epoch plan, the block geometry or the staging shuffle
+// that moves the benchmark's training order or trained params fails here.
+TEST(TrainByGoldenTest, OrderAndParamsPinned) {
+  // Double buffering must not move the order, so both modes share a row.
+  struct Golden {
+    uint64_t seed;
+    uint32_t shards;
+    uint64_t ids_hash;
+    uint64_t params_hash;
+  };
+  const Golden kGolden[] = {
+      {1, 1, 0x07a2a5d6eea6babcull, 0x2a6a8155e5081945ull},
+      {42, 1, 0x9cb456ffc2548cb0ull, 0x14b86b5555825506ull},
+      {1, 4, 0x77e4c5b9a4eeb248ull, 0xa84ae1026e4738bdull},
+      {42, 4, 0x062b930f2b2863ecull, 0xae95669daf7837faull},
+  };
+  auto spec = CatalogLookup("susy", 0.05);
+  ASSERT_TRUE(spec.ok());
+  const Dataset ds = GenerateDataset(*spec, DataOrder::kClustered);
+  TableOptions table_opts;
+  table_opts.page_size = 2048;
+  for (uint32_t shards : {1u, 4u}) {
+    auto table = ShardedTable::Create(
+        testing::TempDir() + "train_by_golden_s" + std::to_string(shards),
+        ds.MakeSchema(), table_opts, *ds.train, shards);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    for (const Golden& g : kGolden) {
+      if (g.shards != shards) continue;
+      for (bool double_buffer : {false, true}) {
+        SCOPED_TRACE("seed=" + std::to_string(g.seed) +
+                     " shards=" + std::to_string(shards) +
+                     " double_buffer=" + std::to_string(double_buffer));
+        const TrainByHashes got =
+            HashTrainBy(**table, ds, g.seed, double_buffer, /*epochs=*/3);
+        EXPECT_EQ(got.ids, g.ids_hash) << std::hex << "0x" << got.ids;
+        EXPECT_EQ(got.params, g.params_hash) << std::hex << "0x" << got.params;
+      }
+    }
+  }
+}
+
+// The same pin one level up: TRAIN BY through SQL, as the benchmark sends
+// it, where the engine derives the buffer seed itself. Pins a hash of the
+// trained params bits and of the final test metric.
+TEST(TrainByGoldenTest, SqlTrainPinned) {
+  struct Golden {
+    uint64_t seed;
+    uint32_t shards;
+    uint64_t hash;
+  };
+  const Golden kGolden[] = {
+      {1, 1, 0x60a338ccbdb765eaull},
+      {42, 1, 0x14462e528f45b088ull},
+      {1, 4, 0xc057bfad3dcb9487ull},
+      {42, 4, 0xaa7b45bd5ab40212ull},
+  };
+  auto spec = CatalogLookup("susy", 0.05);
+  ASSERT_TRUE(spec.ok());
+  const Dataset ds = GenerateDataset(*spec, DataOrder::kClustered);
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE("seed=" + std::to_string(g.seed) +
+                 " shards=" + std::to_string(g.shards));
+    const std::string dir = testing::TempDir() + "train_by_sql_golden";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    Database db(dir, DeviceProfile::Ssd());
+    ASSERT_TRUE(db.RegisterDataset("susy", ds, g.shards).ok());
+    auto trained = db.Execute(
+        "SELECT * FROM susy TRAIN BY lr WITH learning_rate=0.005, "
+        "max_epoch_num=3, block_size=16KB, buffer_fraction=0.1, "
+        "double_buffer=true, seed=" +
+        std::to_string(g.seed));
+    ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+    auto model = db.models().Get("lr_0");
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    std::vector<double> bits = (*model)->params();
+    auto report = db.EvaluateModel(EvaluateStatement{"susy", "lr_0"});
+    ASSERT_TRUE(report.ok());
+    bits.push_back(report->accuracy());
+    uint64_t hash = 0xCBF29CE484222325ull;
+    for (double v : bits) {
+      uint64_t b;
+      std::memcpy(&b, &v, sizeof(b));
+      hash = HashU64(hash, b);
+    }
+    EXPECT_EQ(hash, g.hash) << std::hex << "0x" << hash;
   }
 }
 

@@ -40,25 +40,6 @@ TEST(MapDatasetTest, RandomAccess) {
   EXPECT_TRUE(ds.Get(50).status().IsOutOfRange());
 }
 
-TEST(CorgiPileDatasetTest, ShardsPartitionAllBlocks) {
-  auto tuples = ClusteredToy(1000);
-  InMemoryBlockSource src(ToySchema(), tuples, 50);  // 20 blocks
-  const uint32_t P = 3;
-  std::set<uint32_t> all_blocks;
-  uint64_t total = 0;
-  for (uint32_t w = 0; w < P; ++w) {
-    CorgiPileDataset ds(&src, {/*buffer_tuples=*/100, /*seed=*/9});
-    ASSERT_TRUE(ds.StartEpoch(0, w, P).ok());
-    for (uint32_t b : ds.assigned_blocks()) {
-      EXPECT_TRUE(all_blocks.insert(b).second) << "block assigned twice";
-    }
-    total += DrainRest(&ds).size();
-    ASSERT_TRUE(ds.status().ok());
-  }
-  EXPECT_EQ(all_blocks.size(), 20u);
-  EXPECT_EQ(total, 1000u);
-}
-
 TEST(CorgiPileDatasetTest, EpochsReshuffleBlocks) {
   auto tuples = ClusteredToy(1000);
   InMemoryBlockSource src(ToySchema(), tuples, 50);

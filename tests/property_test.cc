@@ -3,10 +3,12 @@
 //  * storage round-trips across page sizes / compression / sparsity,
 //  * gradient correctness across model families,
 //  * device-model monotonicity across block sizes,
-//  * CorgiPileDataset sharding across worker counts.
+//  * the epoch plan's permutation, partition and stream-independence
+//    properties across seeds, sample sizes and worker counts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 
@@ -20,6 +22,8 @@
 #include "storage/page.h"
 #include "ml/linear_models.h"
 #include "ml/mlp.h"
+#include "shuffle/epoch_plan.h"
+#include "shuffle/hierarchical.h"
 #include "shuffle/tuple_stream.h"
 #include "util/rng.h"
 
@@ -241,43 +245,134 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DeviceMonotonicityProperty,
                          });
 
 // ---------------------------------------------------------------------
-// Property 5: CorgiPileDataset shards partition the blocks for any worker
-// count, and the union of emissions covers the dataset exactly once.
+// Property 5: the epoch plan (shuffle/epoch_plan.h). For any seed, block
+// count, n-of-N sample size and worker count 1-5:
+//  * each epoch's block list is a permutation of the N blocks, or an
+//    n-of-N sample without repeats;
+//  * the workers' slices partition that list, and the dataloader host
+//    hands each worker exactly its slice;
+//  * what the library and dataloader hosts emit does not depend on the
+//    transport batch size, and covers exactly the plan's blocks;
+//  * the block stream and the buffer stream never alias, for any (epoch,
+//    worker), nor do two workers' buffer streams.
 // ---------------------------------------------------------------------
 
-class ShardingProperty : public ::testing::TestWithParam<uint32_t> {};
+using EpochPlanParam = std::tuple<uint64_t /*seed*/, uint32_t /*blocks*/,
+                                  uint32_t /*blocks_per_epoch*/>;
 
-TEST_P(ShardingProperty, ShardsPartitionAndCover) {
-  const uint32_t P = GetParam();
-  const size_t n = 990;  // deliberately not divisible by most P
+class EpochPlanProperty : public ::testing::TestWithParam<EpochPlanParam> {};
+
+std::vector<uint64_t> FirstDraws(Rng rng) {
+  std::vector<uint64_t> out(4);
+  for (uint64_t& x : out) x = rng.Next64();
+  return out;
+}
+
+TEST_P(EpochPlanProperty, PermutesPartitionsAndNeverAliases) {
+  const auto [seed, num_blocks, blocks_per_epoch] = GetParam();
+  constexpr uint64_t kBlockTuples = 30;
+  const uint32_t visited = blocks_per_epoch == 0
+                               ? num_blocks
+                               : std::min(num_blocks, blocks_per_epoch);
   auto tuples = std::make_shared<std::vector<Tuple>>();
-  for (size_t i = 0; i < n; ++i) {
+  for (uint64_t i = 0; i < num_blocks * kBlockTuples; ++i) {
     tuples->push_back(MakeDenseTuple(i, 1.0, {0.0f}));
   }
   InMemoryBlockSource src(Schema{"s", 1, false, LabelType::kBinary, 2},
-                          tuples, 30);  // 33 blocks
-  std::multiset<uint64_t> all_ids;
-  std::set<uint32_t> all_blocks;
-  for (uint32_t w = 0; w < P; ++w) {
-    CorgiPileDataset ds(&src, {/*buffer_tuples=*/64, /*seed=*/5});
-    ASSERT_TRUE(ds.StartEpoch(3, w, P).ok());
-    for (uint32_t b : ds.assigned_blocks()) {
-      EXPECT_TRUE(all_blocks.insert(b).second);
+                          tuples, kBlockTuples);
+  ASSERT_EQ(src.num_blocks(), num_blocks);
+  // The ids of `blocks`, sorted: what one epoch over them must emit.
+  auto block_ids = [&](const std::vector<uint32_t>& blocks) {
+    std::vector<uint64_t> ids;
+    for (uint32_t b : blocks) {
+      for (uint64_t t = 0; t < kBlockTuples; ++t) {
+        ids.push_back(b * kBlockTuples + t);
+      }
     }
-    for (uint64_t id : Ids(DrainRest(&ds))) all_ids.insert(id);
-    ASSERT_TRUE(ds.status().ok());
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  auto sorted = [](std::vector<uint64_t> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+
+  for (uint64_t epoch = 0; epoch < 3; ++epoch) {
+    SCOPED_TRACE("epoch=" + std::to_string(epoch));
+    const std::vector<uint32_t> order = EpochBlockOrder(
+        seed, epoch, num_blocks, /*shuffle_blocks=*/true, blocks_per_epoch);
+    ASSERT_EQ(order.size(), visited);
+    const std::set<uint32_t> distinct(order.begin(), order.end());
+    EXPECT_EQ(distinct.size(), order.size()) << "block visited twice";
+    EXPECT_LT(*distinct.rbegin(), num_blocks);
+    // Without block shuffling the list is the storage-order prefix.
+    const std::vector<uint32_t> plain = EpochBlockOrder(
+        seed, epoch, num_blocks, /*shuffle_blocks=*/false, blocks_per_epoch);
+    for (uint32_t i = 0; i < plain.size(); ++i) EXPECT_EQ(plain[i], i);
+
+    // Library host (Algorithm 1): the sampled blocks' tuples, at every
+    // transport batch size.
+    auto stream = MakeCorgiPileStream(&src, /*buffer_tuples=*/64, seed,
+                                      blocks_per_epoch);
+    const auto lib_ref = Ids(DrainEpoch(stream.get(), epoch, 1));
+    EXPECT_EQ(sorted(lib_ref), block_ids(order));
+    for (size_t batch : {size_t{7}, TupleBatch::kDefaultTargetTuples}) {
+      EXPECT_EQ(Ids(DrainEpoch(stream.get(), epoch, batch)), lib_ref);
+    }
+
+    const std::vector<uint64_t> block_draws =
+        FirstDraws(EpochBlockRng(seed, epoch));
+    const std::vector<uint32_t> all =
+        EpochBlockOrder(seed, epoch, num_blocks, /*shuffle_blocks=*/true);
+    for (uint32_t workers = 1; workers <= 5; ++workers) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      std::vector<uint32_t> joined;
+      std::vector<uint64_t> emitted;
+      std::set<std::vector<uint64_t>> buffer_draws;
+      for (uint32_t w = 0; w < workers; ++w) {
+        const std::vector<uint32_t> slice =
+            EpochBlockOrder(seed, epoch, num_blocks, /*shuffle_blocks=*/true,
+                            blocks_per_epoch, w, workers);
+        EXPECT_LE(slice.size(), visited / workers + 1);
+        EXPECT_GE(slice.size(), visited / workers);
+        joined.insert(joined.end(), slice.begin(), slice.end());
+
+        // Dataloader host (it visits every block each epoch).
+        CorgiPileDataset ds(&src, {/*buffer_tuples=*/64, seed});
+        ASSERT_TRUE(ds.StartEpoch(epoch, w, workers).ok());
+        EXPECT_EQ(ds.assigned_blocks(),
+                  EpochBlockOrder(seed, epoch, num_blocks,
+                                  /*shuffle_blocks=*/true,
+                                  /*blocks_per_epoch=*/0, w, workers));
+        const auto ref = Ids(DrainRest(&ds, 1));
+        ASSERT_TRUE(ds.status().ok());
+        EXPECT_EQ(sorted(ref), block_ids(ds.assigned_blocks()));
+        ASSERT_TRUE(ds.StartEpoch(epoch, w, workers).ok());
+        EXPECT_EQ(Ids(DrainRest(&ds, 7)), ref);
+        emitted.insert(emitted.end(), ref.begin(), ref.end());
+
+        const std::vector<uint64_t> draws =
+            FirstDraws(EpochBufferRng(BufferSeed(seed), epoch, w));
+        EXPECT_NE(draws, block_draws) << "worker " << w;
+        EXPECT_TRUE(buffer_draws.insert(draws).second) << "worker " << w;
+      }
+      EXPECT_EQ(joined, order);
+      EXPECT_EQ(sorted(emitted), block_ids(all));
+    }
   }
-  EXPECT_EQ(all_blocks.size(), src.num_blocks());
-  EXPECT_EQ(all_ids.size(), n);
-  EXPECT_EQ(*all_ids.begin(), 0u);
-  EXPECT_EQ(*all_ids.rbegin(), n - 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, ShardingProperty,
-                         ::testing::Values(1u, 2u, 3u, 4u, 7u, 8u, 16u),
-                         [](const auto& info) {
-                           return "P" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, EpochPlanProperty,
+    ::testing::Combine(::testing::Values(uint64_t{0}, uint64_t{1},
+                                         uint64_t{42}, uint64_t{0x7F}),
+                       ::testing::Values(1u, 7u, 33u),
+                       ::testing::Values(0u, 5u, 40u)),
+    [](const auto& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) + "_N" +
+             std::to_string(std::get<1>(info.param)) + "_n" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 // ---------------------------------------------------------------------
 // Property 6: bounded retry never charges more simulated backoff to one

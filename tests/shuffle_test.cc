@@ -130,17 +130,6 @@ TEST(CorgiPileTest, DifferentEpochsDifferentOrder) {
   EXPECT_NE(e0, e1);
 }
 
-TEST(CorgiPileTest, SampledEpochVisitsOnlyNBlocks) {
-  auto tuples = ClusteredToy(500);
-  InMemoryBlockSource src(ToySchema(), tuples, 25);  // 20 blocks
-  auto stream = MakeCorgiPileStream(&src, 100, 5, /*blocks_per_epoch=*/4);
-  auto ids = Ids(DrainEpoch(stream.get(), 0));
-  EXPECT_EQ(ids.size(), 100u);  // 4 blocks × 25 tuples
-  std::set<uint64_t> blocks;
-  for (uint64_t id : ids) blocks.insert(id / 25);
-  EXPECT_EQ(blocks.size(), 4u);
-}
-
 TEST(CorgiPileTest, DisplacementNearFullShuffleWithLargeBuffer) {
   const size_t n = 2000;
   auto tuples = ClusteredToy(n);
