@@ -12,7 +12,7 @@
 
 #include "runners.h"
 
-#include "iosim/fault_injector.h"
+#include "iosim/fault_plane.h"
 #include "storage/block_source.h"
 
 using namespace corgipile;
@@ -25,12 +25,25 @@ struct SweepRun {
   double final_metric = 0.0;
   uint64_t quarantined = 0;
   uint64_t skipped = 0;
+  FaultPlaneStats faults;
 };
 
-SweepRun RunOnce(const Dataset& ds, Table* table, FaultInjector* inj,
-                 bool tolerate) {
+/// A heap-read media rule at `rate` per page; none when the rate is 0.
+std::vector<ChaosRule> HeapReadRules(ChaosAction action, double rate,
+                                     uint64_t repeat = 1) {
+  if (rate <= 0.0) return {};
+  ChaosRule rule;
+  rule.point = "storage.heapfile.read";
+  rule.action = action;
+  rule.probability = rate;
+  rule.repeat = repeat;
+  return {rule};
+}
+
+SweepRun RunOnce(const Dataset& ds, Table* table, uint64_t seed,
+                 std::vector<ChaosRule> rules, bool tolerate) {
   SweepRun out;
-  table->SetFaultInjection(inj);
+  FaultPlane::Process()->Arm("fault_sweep", seed, std::move(rules));
   TableBlockSource source(table, 4 * table->options().page_size);
   ShuffleOptions sopts;
   sopts.buffer_fraction = 0.1;
@@ -46,7 +59,8 @@ SweepRun RunOnce(const Dataset& ds, Table* table, FaultInjector* inj,
   topts.test_set = ds.test.get();
   topts.label_type = ds.MakeSchema().label_type;
   auto result = Train(&model, stream->get(), topts);
-  table->SetFaultInjection(nullptr);
+  out.faults = FaultPlane::Process()->StatsSnapshot();
+  FaultPlane::Process()->Disarm();
   out.status = result.status();
   if (result.ok()) {
     out.final_metric = result->final_test_metric;
@@ -68,7 +82,7 @@ int main(int argc, char** argv) {
           .ValueOrDie();
 
   const double clean_metric =
-      RunOnce(ds, table.get(), nullptr, false).final_metric;
+      RunOnce(ds, table.get(), 0, {}, false).final_metric;
 
   // (1) Bit-rot sweep.
   {
@@ -76,11 +90,9 @@ int main(int argc, char** argv) {
                 "skipped_tuples", "final_metric", "clean_metric",
                 "metric_delta"});
     for (double rate : {0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.20}) {
-      FaultConfig cfg;
-      cfg.seed = 1234;
-      cfg.bit_flip_rate = rate;
-      FaultInjector inj(cfg);
-      SweepRun run = RunOnce(ds, table.get(), &inj, /*tolerate=*/true);
+      SweepRun run = RunOnce(ds, table.get(), 1234,
+                             HeapReadRules(ChaosAction::kBitFlip, rate),
+                             /*tolerate=*/true);
       t.NewRow()
           .Add(rate, 4)
           .Add(run.status.ok() ? "completed" : "aborted")
@@ -98,20 +110,17 @@ int main(int argc, char** argv) {
     CsvTable t({"transient_rate", "retries", "recovered",
                 "permanent_failures", "backoff_sim_s", "final_metric"});
     for (double rate : {0.0, 0.01, 0.05, 0.20, 1.0}) {
-      FaultConfig cfg;
-      cfg.seed = 99;
-      cfg.transient_read_error_rate = rate;
-      cfg.max_transient_failures = 2;
-      FaultInjector inj(cfg);
       SimClock clock;
       table->SetIoAccounting(DeviceProfile::Memory(), &clock, nullptr);
-      SweepRun run = RunOnce(ds, table.get(), &inj, /*tolerate=*/false);
+      SweepRun run = RunOnce(ds, table.get(), 99,
+                             HeapReadRules(ChaosAction::kReadError, rate, 2),
+                             /*tolerate=*/false);
       CORGI_CHECK_OK(run.status);
       t.NewRow()
           .Add(rate, 2)
-          .Add(inj.stats().retries.load())
-          .Add(inj.stats().recovered.load())
-          .Add(inj.stats().permanent_failures.load())
+          .Add(run.faults.retries)
+          .Add(run.faults.recovered)
+          .Add(run.faults.permanent_failures)
           .Add(clock.Elapsed(TimeCategory::kRetryBackoff), 5)
           .Add(run.final_metric, 4);
     }

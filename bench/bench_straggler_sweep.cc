@@ -1,7 +1,7 @@
 // Straggler sweep — distributed training under latency spikes, by failure
 // policy.
 //
-// FaultInjector latency spikes (seconds-long stalls on deterministic block
+// FaultPlane latency spikes (seconds-long stalls on deterministic block
 // sites) slow down whichever workers own the spiked blocks. The sweep
 // crosses the spike probability with the WorkerFailurePolicy and reports,
 // per cell: the outcome, how many workers were evicted, the worst per-epoch
@@ -17,7 +17,7 @@
 
 #include "dataloader/distributed.h"
 #include "dataloader/record_file.h"
-#include "iosim/fault_injector.h"
+#include "iosim/fault_plane.h"
 #include "util/timer.h"
 
 using namespace corgipile;
@@ -42,15 +42,19 @@ struct SweepRun {
 SweepRun RunOnce(const Dataset& ds, RecordFileBlockSource* source,
                  double spike_rate, WorkerFailurePolicy policy) {
   SweepRun out;
-  FaultConfig cfg;
-  cfg.seed = 17;
-  cfg.latency_spike_rate = spike_rate;
-  cfg.latency_spike_seconds = kSpikeSeconds;
-  FaultInjector inj(cfg);
+  std::vector<ChaosRule> rules;
+  if (spike_rate > 0.0) {
+    ChaosRule spike;
+    spike.point = "storage.recordfile.read_block";
+    spike.action = ChaosAction::kLatencySpike;
+    spike.probability = spike_rate;
+    spike.stall_seconds = kSpikeSeconds;
+    rules.push_back(spike);
+  }
+  FaultPlane::Process()->Arm("straggler_sweep", 17, std::move(rules));
   SimClock clock;
   IoStats io;
   source->SetIoAccounting(DeviceProfile::Memory(), &clock, &io);
-  source->SetFaultInjection(spike_rate > 0.0 ? &inj : nullptr);
 
   DistributedTrainerOptions opts;
   opts.num_workers = 4;
@@ -72,7 +76,7 @@ SweepRun RunOnce(const Dataset& ds, RecordFileBlockSource* source,
   out.status = result.status();
   out.straggler_wait_s = clock.Elapsed(TimeCategory::kStragglerWait);
   out.total_sim_s = clock.TotalElapsed();
-  source->SetFaultInjection(nullptr);
+  FaultPlane::Process()->Disarm();
   if (!result.ok()) return out;
   out.dropped = result->dropped_workers.size();
   out.final_metric = result->final_test_metric;

@@ -79,7 +79,7 @@ struct DistributedTrainerOptions {
   WorkerFailurePolicy failure_policy = WorkerFailurePolicy::kFailFast;
   /// Per-worker, per-epoch budget of *simulated* seconds (requires
   /// `clock`); a worker whose attributed data-path time exceeds it is a
-  /// straggler. Only simulated time counts — FaultInjector latency spikes
+  /// straggler. Only simulated time counts — FaultPlane latency spikes
   /// and retry backoff are observable, real compute jitter is not — so
   /// deadline decisions are deterministic. 0 disables.
   double straggler_deadline_sim_seconds = 0.0;

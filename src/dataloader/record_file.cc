@@ -9,7 +9,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "iosim/fault_plane.h"
 #include "util/crc32c.h"
 
 namespace corgipile {
@@ -33,14 +32,11 @@ Result<std::unique_ptr<RecordFileWriter>> RecordFileWriter::Create(
     return Status::IoError("create " + path + ": " + std::strerror(errno));
   }
   return std::unique_ptr<RecordFileWriter>(
-      new RecordFileWriter(fd, FaultInjector::TagForPath(path)));
-}
-
-void RecordFileWriter::SetFaultInjection(FaultInjector* injector) {
-  fault_ = injector;
+      new RecordFileWriter(fd, FaultPlane::TagForPath(path)));
 }
 
 Status RecordFileWriter::Append(const Tuple& tuple) {
+  CORGI_INJECT_POINT("storage.recordfile.append");
   if (fd_ < 0) return Status::Internal("writer already finished");
   scratch_.clear();
   const auto len = static_cast<uint32_t>(tuple.SerializedSize());
@@ -52,14 +48,11 @@ Status RecordFileWriter::Append(const Tuple& tuple) {
       Crc32cForStorage(scratch_.data() + kRecordHeaderBytes, len);
   std::memcpy(scratch_.data() + sizeof(len), &crc, sizeof(crc));
 
-  if (fault_ != nullptr) {
-    const uint64_t persist =
-        fault_->TornWriteBytes(tag_, bytes_written_, scratch_.size());
-    if (persist < scratch_.size()) {
-      // Torn write: the tail never reaches the platter and reads back as
-      // zeros. Offsets stay consistent; the record CRC catches it on read.
-      std::memset(scratch_.data() + persist, 0, scratch_.size() - persist);
-    }
+  if (FaultPlane::ProcessArmed()) {
+    // Offsets stay consistent under a tear; the record CRC catches it.
+    FaultPlane::Process()->TearWrite("storage.recordfile.append", tag_,
+                                     bytes_written_, scratch_.data(),
+                                     scratch_.size());
   }
   const ssize_t n = ::write(fd_, scratch_.data(), scratch_.size());
   if (n != static_cast<ssize_t>(scratch_.size())) {
@@ -210,7 +203,7 @@ Result<std::unique_ptr<RecordFileBlockSource>> RecordFileBlockSource::Open(
   }
   return std::unique_ptr<RecordFileBlockSource>(
       new RecordFileBlockSource(fd, std::move(index), std::move(schema),
-                                FaultInjector::TagForPath(path)));
+                                FaultPlane::TagForPath(path)));
 }
 
 void RecordFileBlockSource::SetIoAccounting(DeviceProfile device,
@@ -221,85 +214,20 @@ void RecordFileBlockSource::SetIoAccounting(DeviceProfile device,
   stats_ = stats;
 }
 
-void RecordFileBlockSource::SetFaultInjection(FaultInjector* injector) {
-  MutexLock lock(mu_);
-  fault_ = injector;
-}
-
-void RecordFileBlockSource::SetRetryPolicy(RetryPolicy policy) {
-  MutexLock lock(mu_);
-  retry_ = policy;
-}
-
-Status RecordFileBlockSource::ReadRawWithRetry(uint64_t offset, uint8_t* buf,
-                                               size_t len) {
-  // One locked snapshot for the whole retry loop: a concurrent
-  // SetFaultInjection/SetRetryPolicy cannot change the rules (or dangle
-  // the injector) between attempts of a single logical read.
-  FaultInjector* fault = nullptr;
-  RetryPolicy retry;
-  {
-    MutexLock lock(mu_);
-    fault = fault_;
-    retry = retry_;
-  }
-  Status st = Status::OK();
-  for (uint32_t attempt = 0; attempt <= retry.max_retries; ++attempt) {
-    if (attempt > 0) {
-      {
-        MutexLock lock(mu_);
-        if (clock_ != nullptr) {
-          clock_->Advance(TimeCategory::kRetryBackoff,
-                          retry.BackoffSeconds(attempt - 1));
-        }
-      }
-      if (fault != nullptr) {
-        fault->stats().retries.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    st = Status::OK();
-    if (fault != nullptr) st = fault->OnReadAttempt(tag_, offset);
-    if (st.ok()) {
-      const ssize_t n = ::pread(fd_, buf, len, static_cast<off_t>(offset));
-      if (n != static_cast<ssize_t>(len)) {
-        st = Status::IoError(std::string("pread: ") + std::strerror(errno));
-      }
-    }
-    if (st.ok()) {
-      if (fault != nullptr) {
-        fault->MaybeCorrupt(tag_, offset, buf, len);
-        const double spike = fault->ReadLatencySpikeSeconds(tag_, offset);
-        if (spike > 0) {
-          MutexLock lock(mu_);
-          if (clock_ != nullptr) {
-            clock_->Advance(TimeCategory::kIoRead, spike);
-          }
-        }
-      }
-      if (attempt > 0 && fault != nullptr) {
-        fault->stats().recovered.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::OK();
-    }
-    if (st.code() != StatusCode::kIoError) return st;  // not retryable
-  }
-  if (fault != nullptr) {
-    fault->stats().permanent_failures.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::IoError("read failed after " +
-                         std::to_string(retry.max_retries) + " retries: " +
-                         st.message());
-}
-
 Status RecordFileBlockSource::ReadBlock(uint32_t block,
                                         std::vector<Tuple>* out) {
-  CORGI_INJECT_POINT("storage.recordfile.read_block");
   if (block >= index_.blocks.size()) {
     return Status::OutOfRange("block index");
   }
   const auto& entry = index_.blocks[block];
   std::vector<uint8_t> buf(entry.bytes);
-  CORGI_RETURN_NOT_OK(ReadRawWithRetry(entry.offset, buf.data(), buf.size()));
+  CORGI_RETURN_NOT_OK(ReadWithRetry(
+      fd_, "storage.recordfile.read_block", tag_, entry.offset, buf.data(),
+      buf.size(), /*unit=*/buf.size(), RetryPolicy{},
+      [this](TimeCategory category, double seconds) {
+        MutexLock lock(mu_);
+        if (clock_ != nullptr) clock_->Advance(category, seconds);
+      }));
   {
     MutexLock lock(mu_);
     const bool sequential = last_end_offset_ == entry.offset;

@@ -11,9 +11,10 @@
 // payload only (TFRecord keeps a masked CRC per record for the same
 // reason); 0 means "no checksum" and is never produced by the writer. A
 // mismatch surfaces as kCorruption from ReadBlock so corrupt records are
-// quarantined rather than fed to SGD. Reads retry transient I/O errors
-// with bounded exponential backoff; an optional FaultInjector makes both
-// failure modes reproducible.
+// quarantined rather than fed to SGD. Reads retry failed attempts with
+// bounded exponential backoff (ReadWithRetry); the FaultPlane's media
+// rules at storage.recordfile.read_block / .append make both failure modes
+// reproducible.
 
 #pragma once
 
@@ -22,7 +23,7 @@
 #include <vector>
 
 #include "iosim/device.h"
-#include "iosim/fault_injector.h"
+#include "iosim/fault_plane.h"
 #include "iosim/sim_clock.h"
 #include "storage/block_source.h"
 #include "util/mutex.h"
@@ -38,10 +39,6 @@ class RecordFileWriter {
   static Result<std::unique_ptr<RecordFileWriter>> Create(
       const std::string& path);
 
-  /// Attaches a fault injector; appends may then be torn (prefix persists,
-  /// tail zeroed — silent until a checksum read). Not owned.
-  void SetFaultInjection(FaultInjector* injector);
-
   Status Append(const Tuple& tuple);
   /// Fsyncs and closes; the writer is unusable afterwards.
   Status Finish();
@@ -53,7 +50,6 @@ class RecordFileWriter {
   RecordFileWriter(int fd, uint64_t tag);
   int fd_;
   uint64_t tag_;
-  FaultInjector* fault_ = nullptr;
   uint64_t bytes_written_ = 0;
   uint64_t records_written_ = 0;
   std::vector<uint8_t> scratch_;
@@ -100,12 +96,6 @@ class RecordFileBlockSource : public BlockSource {
   /// Device model + clocks (may be null). Not owned.
   void SetIoAccounting(DeviceProfile device, SimClock* clock, IoStats* stats);
 
-  /// Fault injector consulted on every block read; null to detach. Not owned.
-  void SetFaultInjection(FaultInjector* injector);
-
-  /// Retry policy for transient kIoError read failures.
-  void SetRetryPolicy(RetryPolicy policy);
-
   const Schema& schema() const override { return schema_; }
   uint32_t num_blocks() const override {
     return static_cast<uint32_t>(index_.blocks.size());
@@ -124,8 +114,6 @@ class RecordFileBlockSource : public BlockSource {
   RecordFileBlockSource(int fd, RecordBlockIndex index, Schema schema,
                         uint64_t tag);
 
-  Status ReadRawWithRetry(uint64_t offset, uint8_t* buf, size_t len);
-
   int fd_;
   RecordBlockIndex index_;
   Schema schema_;
@@ -134,8 +122,6 @@ class RecordFileBlockSource : public BlockSource {
   DeviceProfile device_ CORGI_GUARDED_BY(mu_) = DeviceProfile::Memory();
   SimClock* clock_ CORGI_GUARDED_BY(mu_) = nullptr;
   IoStats* stats_ CORGI_GUARDED_BY(mu_) = nullptr;
-  FaultInjector* fault_ CORGI_GUARDED_BY(mu_) = nullptr;
-  RetryPolicy retry_ CORGI_GUARDED_BY(mu_);
   uint64_t last_end_offset_ CORGI_GUARDED_BY(mu_) = UINT64_MAX;
 };
 

@@ -86,7 +86,6 @@ Status Database::InstallTable(const std::string& name, const Schema& schema,
     }
   }
   entry.table->SetIoAccounting(device_, &clock_, &io_stats_);
-  if (fault_ != nullptr) entry.table->SetFaultInjection(fault_);
   // Scan-resistant OS-cache model: only files that fit in the pool are
   // cached; larger files cannot retain a working set under repeated scans,
   // so neither access pattern benefits (§7.3.4's small-vs-large split).
@@ -193,17 +192,6 @@ Status Database::Insert(const std::string& table,
 
 Status Database::RollbackModel(const RollbackStatement& stmt) {
   return models_.Rollback(stmt.model_id, stmt.version);
-}
-
-void Database::SetFaultInjection(FaultInjector* injector) {
-  MutexLock lock(catalog_mu_);
-  fault_ = injector;
-  for (auto& [name, entry] : tables_) {
-    entry.table->SetFaultInjection(injector);
-  }
-  for (auto& [name, table] : shuffled_copies_) {
-    table->SetFaultInjection(injector);
-  }
 }
 
 Result<Table*> Database::GetTable(const std::string& name) {

@@ -133,11 +133,6 @@ class Database {
 
   // --- introspection ---
 
-  /// Attaches a fault injector to every table (current and future) for
-  /// robustness testing; null detaches. Not owned; must outlive the
-  /// database.
-  void SetFaultInjection(FaultInjector* injector);
-
   /// Serving policy for PREDICT BY (batch size, deadline, workers, queue
   /// depth, service-time model). The defaults never shed: a table scan is
   /// an offline batch workload, not an open-loop arrival process.
@@ -172,8 +167,8 @@ class Database {
   /// tables are never dropped).
   Result<TableEntry*> FindTable(const std::string& name);
 
-  /// Registers a freshly created table: sidecar, accounting, fault
-  /// injection, buffer pool. Called under catalog_mu_.
+  /// Registers a freshly created table: sidecar, accounting, buffer pool.
+  /// Called under catalog_mu_.
   Status InstallTable(const std::string& name, const Schema& schema,
                       bool compress, uint32_t page_size, TableEntry entry)
       CORGI_REQUIRES(catalog_mu_);
@@ -189,7 +184,6 @@ class Database {
 
   std::string data_dir_;
   DeviceProfile device_;
-  FaultInjector* fault_ = nullptr;
   std::unique_ptr<BufferManager> buffer_pool_;
   SimClock clock_;
   IoStats io_stats_;

@@ -179,7 +179,7 @@ Status TupleShuffleOp::ReScan() {
   }
   consume_acc_ = 0.0;
   consume_timer_.reset();
-  current_ = Batch{};
+  current_ = Batch();
   pos_ = 0;
   CORGI_RETURN_NOT_OK(child_->ReScan());
   ++epoch_;
@@ -200,7 +200,7 @@ Status TupleShuffleOp::SkipEpochs(uint64_t n) {
   have_batch_ = false;
   consume_acc_ = 0.0;
   consume_timer_.reset();
-  current_ = Batch{};
+  current_ = Batch();
   pos_ = 0;
   CORGI_RETURN_NOT_OK(child_->SkipEpochs(n));
   epoch_ += n;
@@ -215,7 +215,7 @@ Status TupleShuffleOp::SkipEpochs(uint64_t n) {
 
 void TupleShuffleOp::Close() {
   StopProducer();
-  current_ = Batch{};
+  current_ = Batch();
   have_batch_ = false;
   if (child_ != nullptr) child_->Close();
 }

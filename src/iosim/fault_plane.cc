@@ -1,13 +1,33 @@
 #include "iosim/fault_plane.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstring>
 #include <sstream>
+
+#include "util/rng.h"
 
 namespace corgipile {
 
 namespace {
 
-// SplitMix64 finalizer — same mixing idiom as FaultInjector::HashDraw, so
-// probability-gated rules are pure functions of (seed, point, hit).
+// Distinct per-site decision channels of the media rules.
+constexpr uint64_t kSaltTransient = 0x71;
+constexpr uint64_t kSaltTransientCount = 0x72;
+constexpr uint64_t kSaltPermanent = 0x73;
+constexpr uint64_t kSaltBitFlip = 0x74;
+constexpr uint64_t kSaltBitPos = 0x75;
+constexpr uint64_t kSaltTorn = 0x76;
+constexpr uint64_t kSaltTornLen = 0x77;
+constexpr uint64_t kSaltLatency = 0x78;
+
+bool IsMedia(ChaosAction a) { return a >= ChaosAction::kReadError; }
+
+// SplitMix64 finalizer — the mixing idiom of the media draws (MediaHash),
+// so probability-gated chaos rules are pure functions of (seed, point, hit).
 uint64_t Mix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -37,6 +57,10 @@ const char* ChaosActionToString(ChaosAction a) {
     case ChaosAction::kFail: return "fail";
     case ChaosAction::kKill: return "kill";
     case ChaosAction::kStall: return "stall";
+    case ChaosAction::kReadError: return "read_error";
+    case ChaosAction::kBitFlip: return "bit_flip";
+    case ChaosAction::kTornWrite: return "torn_write";
+    case ChaosAction::kLatencySpike: return "latency_spike";
   }
   return "?";
 }
@@ -69,6 +93,7 @@ void FaultPlane::Arm(std::string scenario, uint64_t seed,
   armed_thread_ = std::this_thread::get_id();
   hits_.clear();
   stats_ = FaultPlaneStats{};
+  transient_remaining_.clear();
   internal_armed().store(true, std::memory_order_release);
 }
 
@@ -100,7 +125,9 @@ FaultPlane::Decision FaultPlane::Resolve(const char* point,
   const bool on_arming_thread = std::this_thread::get_id() == armed_thread_;
   for (size_t i = 0; i < rules_.size(); ++i) {
     const ChaosRule& rule = rules_[i];
-    if (rule_consumed_[i] || rule.point != point) continue;
+    if (rule_consumed_[i] || IsMedia(rule.action) || rule.point != point) {
+      continue;
+    }
     if (!RuleFires(rule, hit)) continue;
     switch (rule.action) {
       case ChaosAction::kStall:
@@ -136,6 +163,8 @@ FaultPlane::Decision FaultPlane::Resolve(const char* point,
         ++stats_.injected_failures;
         break;
       }
+      default:
+        break;  // media rules act in the media hooks
     }
     if (d.kill) break;  // a crash preempts later rules at this hit
   }
@@ -175,6 +204,154 @@ void FaultPlane::OnPointVoid(const char* point) {
   // as dropped inside Resolve, so the returned Status is always OK here.
   Status st = Apply(point, /*fail_allowed=*/false);
   (void)st;  // always OK with fail_allowed=false
+}
+
+double RetryPolicy::BackoffSeconds(uint32_t failure_index) const {
+  return initial_backoff_s *
+         std::pow(backoff_multiplier, static_cast<double>(failure_index));
+}
+
+double RetryPolicy::MaxTotalBackoffSeconds() const {
+  double total = 0.0;
+  for (uint32_t i = 0; i < max_retries; ++i) total += BackoffSeconds(i);
+  return total;
+}
+
+uint64_t FaultPlane::TagForPath(const std::string& path) {
+  uint64_t state = 0xC0861D09A17E5ULL;
+  for (char c : path) {
+    state ^= static_cast<uint64_t>(static_cast<uint8_t>(c));
+    SplitMix64(state);
+  }
+  return SplitMix64(state);
+}
+
+uint64_t FaultPlane::MediaHash(uint64_t tag, uint64_t offset,
+                               uint64_t salt) const {
+  uint64_t state = seed_ ^ (tag * 0x9E3779B97F4A7C15ULL) ^
+                   (offset * 0xBF58476D1CE4E5B9ULL) ^
+                   (salt * 0x94D049BB133111EBULL);
+  SplitMix64(state);
+  return SplitMix64(state);
+}
+
+const ChaosRule* FaultPlane::FiringMediaRule(const char* point,
+                                             ChaosAction action, uint64_t salt,
+                                             uint64_t tag,
+                                             uint64_t offset) const {
+  for (const ChaosRule& rule : rules_) {
+    if (rule.action != action || rule.point != point) continue;
+    // Dead-sector and flaky read errors draw on their own channels.
+    if (action == ChaosAction::kReadError &&
+        (rule.repeat == 0) != (salt == kSaltPermanent)) {
+      continue;
+    }
+    if (rule.probability <= 0.0) return &rule;
+    const double draw =
+        static_cast<double>(MediaHash(tag, offset, salt) >> 11) * 0x1.0p-53;
+    if (draw < rule.probability) return &rule;
+  }
+  return nullptr;
+}
+
+Status FaultPlane::OnMediaRead(const char* point, uint64_t tag,
+                               uint64_t offset) {
+  MutexLock lock(mu_);
+  // Dead sectors first: a dead site never spends a flaky budget.
+  if (FiringMediaRule(point, ChaosAction::kReadError, kSaltPermanent, tag,
+                      offset) != nullptr) {
+    ++stats_.injected_permanent_errors;
+    return Status::IoError("injected permanent read error at offset " +
+                           std::to_string(offset));
+  }
+  const ChaosRule* flaky = FiringMediaRule(point, ChaosAction::kReadError,
+                                           kSaltTransient, tag, offset);
+  if (flaky == nullptr) return Status::OK();
+  const uint64_t site = MediaHash(tag, offset, kSaltTransientCount);
+  uint64_t& left =
+      transient_remaining_.emplace(site, 1 + site % flaky->repeat)
+          .first->second;
+  if (left == 0) return Status::OK();
+  --left;
+  ++stats_.injected_transient_errors;
+  return Status::IoError("injected transient read error at offset " +
+                         std::to_string(offset));
+}
+
+double FaultPlane::OnMediaData(const char* point, uint64_t tag,
+                               uint64_t offset, uint8_t* data, size_t len) {
+  MutexLock lock(mu_);
+  if (len > 0 && FiringMediaRule(point, ChaosAction::kBitFlip, kSaltBitFlip,
+                                 tag, offset) != nullptr) {
+    const uint64_t bit = MediaHash(tag, offset, kSaltBitPos) % (len * 8);
+    data[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ++stats_.injected_bit_flips;
+  }
+  const ChaosRule* spike = FiringMediaRule(point, ChaosAction::kLatencySpike,
+                                          kSaltLatency, tag, offset);
+  if (spike == nullptr) return 0.0;
+  ++stats_.injected_latency_spikes;
+  return spike->stall_seconds;
+}
+
+void FaultPlane::TearWrite(const char* point, uint64_t tag, uint64_t offset,
+                           uint8_t* data, size_t len) {
+  MutexLock lock(mu_);
+  if (len == 0 || FiringMediaRule(point, ChaosAction::kTornWrite, kSaltTorn,
+                                  tag, offset) == nullptr) {
+    return;
+  }
+  ++stats_.injected_torn_writes;
+  // A strict prefix persists: at least 0, at most len-1 bytes survive.
+  const uint64_t persist = MediaHash(tag, offset, kSaltTornLen) % len;
+  std::memset(data + persist, 0, len - persist);
+}
+
+void FaultPlane::CountRead(uint32_t retries, bool ok) {
+  MutexLock lock(mu_);
+  stats_.retries += retries;
+  if (!ok) {
+    ++stats_.permanent_failures;
+  } else if (retries > 0) {
+    ++stats_.recovered;
+  }
+}
+
+Status ReadWithRetry(int fd, const char* point, uint64_t tag, uint64_t offset,
+                     uint8_t* buf, size_t len, size_t unit,
+                     const RetryPolicy& retry,
+                     const std::function<void(TimeCategory, double)>& charge) {
+  // Chaos point: a scripted kill here models a process death mid-read; a
+  // scripted fail models a catastrophic (non-retryable path) I/O error.
+  CORGI_INJECT_POINT(point);
+  FaultPlane* plane =
+      FaultPlane::ProcessArmed() ? FaultPlane::Process() : nullptr;
+  Status st;
+  for (uint32_t attempt = 0; attempt <= retry.max_retries; ++attempt) {
+    if (attempt > 0) {
+      charge(TimeCategory::kRetryBackoff, retry.BackoffSeconds(attempt - 1));
+    }
+    st = plane != nullptr ? plane->OnMediaRead(point, tag, offset)
+                          : Status::OK();
+    if (st.ok() && ::pread(fd, buf, len, static_cast<off_t>(offset)) !=
+                       static_cast<ssize_t>(len)) {
+      st = Status::IoError(std::string("pread: ") + std::strerror(errno));
+    }
+    if (!st.ok()) continue;
+    if (plane != nullptr) {
+      for (size_t p = 0; p < len; p += unit) {
+        const double spike = plane->OnMediaData(
+            point, tag, offset + p, buf + p, std::min(unit, len - p));
+        if (spike > 0) charge(TimeCategory::kIoRead, spike);
+      }
+      plane->CountRead(attempt, /*ok=*/true);
+    }
+    return Status::OK();
+  }
+  if (plane != nullptr) plane->CountRead(retry.max_retries, /*ok=*/false);
+  return Status::IoError("read failed after " +
+                         std::to_string(retry.max_retries) + " retries: " +
+                         st.message());
 }
 
 uint64_t FaultPlane::Hits(const std::string& point) const {

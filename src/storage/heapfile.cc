@@ -4,18 +4,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-
-#include "iosim/fault_plane.h"
 
 namespace corgipile {
 
 HeapFile::HeapFile(std::string path, int fd, uint32_t page_size,
                    uint64_t num_pages)
     : path_(std::move(path)), fd_(fd), page_size_(page_size),
-      num_pages_(num_pages), tag_(FaultInjector::TagForPath(path_)) {}
+      num_pages_(num_pages), tag_(FaultPlane::TagForPath(path_)) {}
 
 HeapFile::~HeapFile() {
   if (fd_ >= 0) ::close(fd_);
@@ -63,16 +60,6 @@ void HeapFile::SetIoAccounting(DeviceProfile device, SimClock* clock,
   stats_ = stats;
 }
 
-void HeapFile::SetFaultInjection(FaultInjector* injector) {
-  MutexLock lock(mu_);
-  fault_ = injector;
-}
-
-void HeapFile::SetRetryPolicy(RetryPolicy policy) {
-  MutexLock lock(mu_);
-  retry_ = policy;
-}
-
 void HeapFile::ChargeRead(uint64_t first_page, uint64_t num, bool contiguous) {
   MutexLock lock(mu_);
   const uint64_t bytes = num * page_size_;
@@ -106,13 +93,6 @@ void HeapFile::ChargeWrite(uint64_t num) {
   }
 }
 
-void HeapFile::ChargeBackoff(double seconds) {
-  MutexLock lock(mu_);
-  if (clock_ != nullptr) {
-    clock_->Advance(TimeCategory::kRetryBackoff, seconds);
-  }
-}
-
 Status HeapFile::AppendPage(const Page& page) {
   CORGI_INJECT_POINT("storage.heapfile.append");
   if (page.size() != page_size_) {
@@ -120,28 +100,16 @@ Status HeapFile::AppendPage(const Page& page) {
   }
   // Stamp the checksum into a scratch image so the caller's page object is
   // untouched and may keep accumulating records.
-  std::vector<uint8_t> image(page.bytes());
-  Page stamped = Page::FromBytes(std::move(image));
+  Page stamped = Page::FromBytes(page.bytes());
   stamped.StampChecksum();
 
   const uint64_t byte_off =
       num_pages_.load(std::memory_order_relaxed) * page_size_;
-  uint64_t persist = page_size_;
-  FaultInjector* fault = nullptr;
-  {
-    MutexLock lock(mu_);
-    fault = fault_;
+  if (FaultPlane::ProcessArmed()) {
+    FaultPlane::Process()->TearWrite("storage.heapfile.append", tag_,
+                                     byte_off, stamped.data(), page_size_);
   }
-  if (fault != nullptr) {
-    persist = fault->TornWriteBytes(tag_, byte_off, page_size_);
-  }
-  std::vector<uint8_t> buf(stamped.bytes());
-  if (persist < page_size_) {
-    // Torn write: only a prefix reaches the platter; the tail reads back as
-    // zeros. Silent now — the checksum catches it on the next read.
-    std::memset(buf.data() + persist, 0, page_size_ - persist);
-  }
-  ssize_t n = ::pwrite(fd_, buf.data(), page_size_,
+  ssize_t n = ::pwrite(fd_, stamped.data(), page_size_,
                        static_cast<off_t>(byte_off));
   if (n != static_cast<ssize_t>(page_size_)) {
     return Status::IoError("pwrite " + path_ + ": " + std::strerror(errno));
@@ -151,71 +119,15 @@ Status HeapFile::AppendPage(const Page& page) {
   return Status::OK();
 }
 
-Status HeapFile::ReadAttempt(FaultInjector* fault, uint64_t offset,
-                             uint8_t* buf, size_t len) {
-  if (fault != nullptr) {
-    Status st = fault->OnReadAttempt(tag_, offset);
-    if (!st.ok()) return st;
-  }
-  ssize_t n = ::pread(fd_, buf, len, static_cast<off_t>(offset));
-  if (n != static_cast<ssize_t>(len)) {
-    return Status::IoError("pread " + path_ + ": " + std::strerror(errno));
-  }
-  if (fault != nullptr) {
-    // Bit flips and latency spikes are per page so each page in a block
-    // read fails independently.
-    for (size_t p = 0; p < len; p += page_size_) {
-      const size_t chunk = std::min<size_t>(page_size_, len - p);
-      fault->MaybeCorrupt(tag_, offset + p, buf + p, chunk);
-      const double spike = fault->ReadLatencySpikeSeconds(tag_, offset + p);
-      if (spike > 0) {
-        MutexLock lock(mu_);
-        if (clock_ != nullptr) {
-          clock_->Advance(TimeCategory::kIoRead, spike);
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status HeapFile::ReadWithRetry(uint64_t offset, uint8_t* buf, size_t len) {
-  // Chaos point: a scripted kill here models a process death mid-read; a
-  // scripted fail models a catastrophic (non-retryable path) I/O error.
-  CORGI_INJECT_POINT("storage.heapfile.read");
-  // One locked snapshot for the whole retry loop: a concurrent
-  // SetFaultInjection/SetRetryPolicy cannot change the rules (or dangle
-  // the injector) between attempts of a single logical read.
-  FaultInjector* fault = nullptr;
-  RetryPolicy retry;
-  {
-    MutexLock lock(mu_);
-    fault = fault_;
-    retry = retry_;
-  }
-  Status st = Status::OK();
-  for (uint32_t attempt = 0; attempt <= retry.max_retries; ++attempt) {
-    if (attempt > 0) {
-      ChargeBackoff(retry.BackoffSeconds(attempt - 1));
-      if (fault != nullptr) {
-        fault->stats().retries.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    st = ReadAttempt(fault, offset, buf, len);
-    if (st.ok()) {
-      if (attempt > 0 && fault != nullptr) {
-        fault->stats().recovered.fetch_add(1, std::memory_order_relaxed);
-      }
-      return st;
-    }
-    if (st.code() != StatusCode::kIoError) return st;  // not retryable
-  }
-  if (fault != nullptr) {
-    fault->stats().permanent_failures.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::IoError("read failed after " +
-                         std::to_string(retry.max_retries) + " retries: " +
-                         st.message());
+Status HeapFile::ReadBytes(uint64_t offset, uint8_t* buf, size_t len) {
+  return ReadWithRetry(fd_, "storage.heapfile.read", tag_, offset, buf, len,
+                       page_size_, retry_,
+                       [this](TimeCategory category, double seconds) {
+                         MutexLock lock(mu_);
+                         if (clock_ != nullptr) {
+                           clock_->Advance(category, seconds);
+                         }
+                       });
 }
 
 Status HeapFile::VerifyPage(const Page& page, uint64_t page_idx) const {
@@ -241,7 +153,7 @@ Status HeapFile::ReadPage(uint64_t page_idx, Page* out) {
   }
   std::vector<uint8_t> buf(page_size_);
   const uint64_t off = page_idx * page_size_;
-  CORGI_RETURN_NOT_OK(ReadWithRetry(off, buf.data(), page_size_));
+  CORGI_RETURN_NOT_OK(ReadBytes(off, buf.data(), page_size_));
   ChargeRead(page_idx, 1, /*contiguous=*/true);
   Page page = Page::FromBytes(std::move(buf));
   CORGI_RETURN_NOT_OK(VerifyPage(page, page_idx));
@@ -257,8 +169,7 @@ Status HeapFile::ReadPages(uint64_t first, uint64_t count,
   out->clear();
   out->reserve(count);
   std::vector<uint8_t> buf(static_cast<size_t>(count) * page_size_);
-  CORGI_RETURN_NOT_OK(
-      ReadWithRetry(first * page_size_, buf.data(), buf.size()));
+  CORGI_RETURN_NOT_OK(ReadBytes(first * page_size_, buf.data(), buf.size()));
   ChargeRead(first, count, /*contiguous=*/true);
   for (uint64_t i = 0; i < count; ++i) {
     std::vector<uint8_t> page_bytes(

@@ -8,11 +8,12 @@
 //
 // Robustness: every page carries a CRC32C stamped at AppendPage time and
 // verified on every read; a mismatch (or a structurally invalid page)
-// surfaces as kCorruption rather than feeding garbage upstream. Reads that
-// fail with kIoError are retried with bounded exponential backoff (waits
-// are charged to SimClock under kRetryBackoff, never real sleeps). An
-// optional FaultInjector deterministically injects transient/permanent
-// read errors, bit flips, torn writes, and latency spikes for testing.
+// surfaces as kCorruption rather than feeding garbage upstream. Reads go
+// through ReadWithRetry (iosim/fault_plane.h): kIoError attempts are
+// retried with bounded exponential backoff (waits are charged to SimClock
+// under kRetryBackoff, never real sleeps), and an armed FaultPlane's media
+// rules at storage.heapfile.read / .append deterministically inject read
+// errors, bit flips, torn writes, and latency spikes for testing.
 
 #pragma once
 
@@ -22,7 +23,7 @@
 #include <vector>
 
 #include "iosim/device.h"
-#include "iosim/fault_injector.h"
+#include "iosim/fault_plane.h"
 #include "iosim/sim_clock.h"
 #include "storage/page.h"
 #include "util/mutex.h"
@@ -50,12 +51,9 @@ class HeapFile {
   /// pointers may be null (no accounting). Not owned.
   void SetIoAccounting(DeviceProfile device, SimClock* clock, IoStats* stats);
 
-  /// Attaches a fault injector consulted on every read attempt and write.
-  /// Pass null to detach. Not owned; must outlive this file.
-  void SetFaultInjection(FaultInjector* injector);
-
-  /// Retry policy for transient kIoError read failures.
-  void SetRetryPolicy(RetryPolicy policy);
+  /// Retry policy for failed read attempts. Setup-time only: not
+  /// synchronized against in-flight reads.
+  void SetRetryPolicy(RetryPolicy policy) { retry_ = policy; }
 
   const DeviceProfile& device() const { return device_; }
 
@@ -95,19 +93,9 @@ class HeapFile {
 
   void ChargeRead(uint64_t first_page, uint64_t num, bool contiguous);
   void ChargeWrite(uint64_t num);
-  void ChargeBackoff(double seconds);
 
-  /// One physical read attempt of [offset, offset+len) into buf, with
-  /// injected faults applied. Returns kIoError on (real or injected)
-  /// failure; bit flips and latency spikes are applied silently. `fault`
-  /// is the caller's locked snapshot of fault_ (see ReadWithRetry).
-  Status ReadAttempt(FaultInjector* fault, uint64_t offset, uint8_t* buf,
-                     size_t len);
-
-  /// ReadAttempt wrapped in the bounded exponential-backoff retry loop.
-  /// Snapshots fault_/retry_ under mu_ once at entry so a concurrent
-  /// Set* cannot race the loop.
-  Status ReadWithRetry(uint64_t offset, uint8_t* buf, size_t len);
+  /// ReadWithRetry of [offset, offset+len), media faults drawn per page.
+  Status ReadBytes(uint64_t offset, uint8_t* buf, size_t len);
 
   /// Checksum + structural verification of a page read from `page_idx`.
   Status VerifyPage(const Page& page, uint64_t page_idx) const;
@@ -120,14 +108,13 @@ class HeapFile {
   /// num_pages() so readers that learned of a page via a published table
   /// index always see it within bounds.
   std::atomic<uint64_t> num_pages_;
-  uint64_t tag_;  // FaultInjector site tag derived from path_
+  uint64_t tag_;  // media-fault site tag derived from path_
+  RetryPolicy retry_;
 
   Mutex mu_;
   DeviceProfile device_ CORGI_GUARDED_BY(mu_) = DeviceProfile::Memory();
   SimClock* clock_ CORGI_GUARDED_BY(mu_) = nullptr;
   IoStats* stats_ CORGI_GUARDED_BY(mu_) = nullptr;
-  FaultInjector* fault_ CORGI_GUARDED_BY(mu_) = nullptr;
-  RetryPolicy retry_ CORGI_GUARDED_BY(mu_);
   int64_t last_read_page_ CORGI_GUARDED_BY(mu_) = -2;  // -2: nothing read yet
 };
 

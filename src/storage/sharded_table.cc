@@ -129,18 +129,6 @@ void ShardedTable::SetIoAccounting(DeviceProfile device, SimClock* clock,
   }
 }
 
-void ShardedTable::SetFaultInjection(FaultInjector* injector) {
-  for (auto& shard : shards_) {
-    if (shard != nullptr) shard->SetFaultInjection(injector);
-  }
-}
-
-void ShardedTable::SetRetryPolicy(RetryPolicy policy) {
-  for (auto& shard : shards_) {
-    if (shard != nullptr) shard->SetRetryPolicy(policy);
-  }
-}
-
 void ShardedTable::SetBufferManager(BufferManager* buffer_manager) {
   for (auto& shard : shards_) {
     if (shard != nullptr) shard->SetBufferManager(buffer_manager);

@@ -100,8 +100,6 @@ class ShardedTable {
 
   // --- setup-time configuration (forwarded to every shard) ---
   void SetIoAccounting(DeviceProfile device, SimClock* clock, IoStats* stats);
-  void SetFaultInjection(FaultInjector* injector);
-  void SetRetryPolicy(RetryPolicy policy);
   void SetBufferManager(BufferManager* buffer_manager);
 
   /// Resets every shard's billing cursor (accounting only).

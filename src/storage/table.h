@@ -124,12 +124,6 @@ class Table {
   /// only: not synchronized against in-flight scans.
   void SetIoAccounting(DeviceProfile device, SimClock* clock, IoStats* stats);
 
-  /// Forwards a fault injector / retry policy to the backing heap file.
-  void SetFaultInjection(FaultInjector* injector) {
-    file_->SetFaultInjection(injector);
-  }
-  void SetRetryPolicy(RetryPolicy policy) { file_->SetRetryPolicy(policy); }
-
   /// Routes page reads through a buffer manager (not owned; may be null).
   /// Cached pages cost nothing — the OS-cache effect the paper observes
   /// for datasets smaller than RAM (§7.3.4): the first epoch pays device

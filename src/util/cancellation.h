@@ -9,7 +9,7 @@
 // consistent reason.
 //
 // Deadline expresses a budget of *simulated* seconds against a SimClock.
-// Because all modeled I/O (including FaultInjector latency spikes and retry
+// Because all modeled I/O (including FaultPlane latency spikes and retry
 // backoff) is charged to the SimClock deterministically, deadline decisions
 // are reproducible bit-for-bit across runs — unlike wall-clock deadlines.
 

@@ -18,7 +18,6 @@
 #include "db/sgd_op.h"
 #include "db/tuple_shuffle_op.h"
 #include "exec/tuple_batch.h"
-#include "iosim/fault_injector.h"
 #include "ml/linear_models.h"
 #include "ml/trainer.h"
 #include "shuffle/tuple_stream.h"
@@ -26,6 +25,7 @@
 #include "storage/sharded_table.h"
 
 #include "drain.h"
+#include "media_faults.h"
 
 namespace corgipile {
 namespace {
@@ -218,11 +218,8 @@ TEST(TrainBatchEquivalenceTest, QuarantineCountsMatch) {
   auto table = MaterializeTrainTable(
       ds, testing::TempDir() + "batch_equiv_quarantine.tbl", 2048);
   ASSERT_TRUE(table.ok());
-  FaultConfig cfg;
-  cfg.seed = 1234;
-  cfg.bit_flip_rate = 0.01;
-  FaultInjector inj(cfg);
-  (*table)->SetFaultInjection(&inj);
+  ScopedMediaFaults faults(
+      1234, {MediaRule(kHeapRead, ChaosAction::kBitFlip, 0.01)});
   TableBlockSource source(table->get(), 4 * 2048);
 
   auto run = [&](uint32_t exec) -> Result<TrainResult> {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,10 +15,11 @@
 #include "dataset/catalog.h"
 #include "dataset/loader.h"
 #include "iosim/device.h"
-#include "iosim/fault_injector.h"
 #include "iosim/sim_clock.h"
 #include "ml/linear_models.h"
 #include "util/status.h"
+
+#include "media_faults.h"
 
 namespace corgipile {
 namespace {
@@ -77,18 +79,15 @@ struct DistFaultFixture {
 // Sparse permanent read errors: a couple of blocks (and therefore a couple
 // of workers) are unreadable, the rest are healthy. Seed/rate chosen so
 // that at least one but not every worker is hit.
-FaultConfig KillerFaults() {
-  FaultConfig cfg;
-  cfg.seed = 31;
-  cfg.permanent_read_error_rate = 0.02;
-  return cfg;
+constexpr uint64_t kKillerSeed = 31;
+std::vector<ChaosRule> KillerFaults() {
+  return {MediaRule(kRecordRead, ChaosAction::kReadError, 0.02, 0)};
 }
 
 TEST(DistributedFaultTest, FailFastSurfacesWorkerError) {
   DistFaultFixture f("dist_failfast");
-  FaultInjector inj(KillerFaults());
-  FAULT_SCENARIO_TRACE(inj.config().seed);
-  f.source->SetFaultInjection(&inj);
+  FAULT_SCENARIO_TRACE(kKillerSeed);
+  ScopedMediaFaults faults(kKillerSeed, KillerFaults());
 
   auto result = f.Run(f.Options());  // default policy: kFailFast
   ASSERT_FALSE(result.ok());
@@ -100,9 +99,8 @@ TEST(DistributedFaultTest, FailFastSurfacesWorkerError) {
 
 TEST(DistributedFaultTest, DropAndRescaleCompletesAndRecordsEviction) {
   DistFaultFixture f("dist_drop");
-  FaultInjector inj(KillerFaults());
-  FAULT_SCENARIO_TRACE(inj.config().seed);
-  f.source->SetFaultInjection(&inj);
+  FAULT_SCENARIO_TRACE(kKillerSeed);
+  ScopedMediaFaults faults(kKillerSeed, KillerFaults());
 
   DistributedTrainerOptions opts = f.Options();
   opts.failure_policy = WorkerFailurePolicy::kDropAndRescale;
@@ -132,28 +130,31 @@ TEST(DistributedFaultTest, DropAndRescaleCompletesAndRecordsEviction) {
   uint32_t dropped_flags = 0;
   for (const WorkerSummary& ws : result->workers) {
     dropped_flags += ws.dropped ? 1 : 0;
-    if (!ws.dropped) EXPECT_GT(ws.heartbeat_steps, 0u);
+    if (!ws.dropped) {
+      EXPECT_GT(ws.heartbeat_steps, 0u);
+    }
   }
   EXPECT_EQ(dropped_flags, result->dropped_workers.size());
 }
 
 TEST(DistributedFaultTest, DropAndRescaleIsBitIdenticalAcrossReruns) {
   DistFaultFixture f("dist_det");
-  FaultInjector inj1(KillerFaults());
-  FAULT_SCENARIO_TRACE(inj1.config().seed);
+  FAULT_SCENARIO_TRACE(kKillerSeed);
   DistributedTrainerOptions opts = f.Options();
   opts.failure_policy = WorkerFailurePolicy::kDropAndRescale;
 
   LogisticRegression m1(f.ds.spec.dim);
-  f.source->SetFaultInjection(&inj1);
-  auto r1 = f.Run(opts, &m1);
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  std::optional<TrainResult> r1;
+  {
+    ScopedMediaFaults faults(kKillerSeed, KillerFaults());
+    auto run = f.Run(opts, &m1);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    r1 = std::move(*run);
+  }
 
-  // Fresh injector, same seed: the rerun must match bit for bit.
-  FaultInjector inj2(KillerFaults());
-  FAULT_SCENARIO_TRACE(inj2.config().seed);
+  // Fresh arming, same seed: the rerun must match bit for bit.
+  ScopedMediaFaults faults(kKillerSeed, KillerFaults());
   LogisticRegression m2(f.ds.spec.dim);
-  f.source->SetFaultInjection(&inj2);
   auto r2 = f.Run(opts, &m2);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
 
@@ -177,22 +178,20 @@ TEST(DistributedFaultTest, DropAndRescaleIsBitIdenticalAcrossReruns) {
 
 // Latency spikes big enough that one spiked block read blows the per-epoch
 // straggler budget; workers with spike-free shards stay far under it.
-FaultConfig StragglerFaults() {
-  FaultConfig cfg;
-  cfg.seed = 17;
-  cfg.latency_spike_rate = 0.02;
-  cfg.latency_spike_seconds = 25.0;
-  return cfg;
+constexpr uint64_t kStragglerSeed = 17;
+constexpr double kSpikeSeconds = 25.0;
+std::vector<ChaosRule> StragglerFaults() {
+  return {MediaRule(kRecordRead, ChaosAction::kLatencySpike, 0.02, 1,
+                    kSpikeSeconds)};
 }
 
 TEST(DistributedFaultTest, StragglerIsEvictedUnderDropPolicy) {
   DistFaultFixture f("dist_straggler_drop");
-  FaultInjector inj(StragglerFaults());
-  FAULT_SCENARIO_TRACE(inj.config().seed);
+  FAULT_SCENARIO_TRACE(kStragglerSeed);
+  ScopedMediaFaults faults(kStragglerSeed, StragglerFaults());
   SimClock clock;
   IoStats io;
   f.source->SetIoAccounting(DeviceProfile::Memory(), &clock, &io);
-  f.source->SetFaultInjection(&inj);
 
   DistributedTrainerOptions opts = f.Options();
   opts.clock = &clock;
@@ -215,12 +214,11 @@ TEST(DistributedFaultTest, StragglerIsEvictedUnderDropPolicy) {
 
 TEST(DistributedFaultTest, WaitPolicyToleratesStragglers) {
   DistFaultFixture f("dist_straggler_wait");
-  FaultInjector inj(StragglerFaults());
-  FAULT_SCENARIO_TRACE(inj.config().seed);
+  FAULT_SCENARIO_TRACE(kStragglerSeed);
+  ScopedMediaFaults faults(kStragglerSeed, StragglerFaults());
   SimClock clock;
   IoStats io;
   f.source->SetIoAccounting(DeviceProfile::Memory(), &clock, &io);
-  f.source->SetFaultInjection(&inj);
 
   DistributedTrainerOptions opts = f.Options();
   opts.clock = &clock;
@@ -239,19 +237,17 @@ TEST(DistributedFaultTest, WaitPolicyToleratesStragglers) {
   // The cost shows up as barrier wait instead: the epoch critical path
   // includes the spike, and the other workers' idle time is charged to
   // kStragglerWait.
-  EXPECT_GE(result->epochs.front().barrier_sim_seconds,
-            StragglerFaults().latency_spike_seconds);
+  EXPECT_GE(result->epochs.front().barrier_sim_seconds, kSpikeSeconds);
   EXPECT_GT(clock.Elapsed(TimeCategory::kStragglerWait), 0.0);
 }
 
 TEST(DistributedFaultTest, FailFastWithDeadlineReturnsDeadlineExceeded) {
   DistFaultFixture f("dist_straggler_ff");
-  FaultInjector inj(StragglerFaults());
-  FAULT_SCENARIO_TRACE(inj.config().seed);
+  FAULT_SCENARIO_TRACE(kStragglerSeed);
+  ScopedMediaFaults faults(kStragglerSeed, StragglerFaults());
   SimClock clock;
   IoStats io;
   f.source->SetIoAccounting(DeviceProfile::Memory(), &clock, &io);
-  f.source->SetFaultInjection(&inj);
 
   DistributedTrainerOptions opts = f.Options();
   opts.clock = &clock;
@@ -264,9 +260,8 @@ TEST(DistributedFaultTest, FailFastWithDeadlineReturnsDeadlineExceeded) {
 
 TEST(DistributedFaultTest, HardErrorFailsFastUnderWaitPolicy) {
   DistFaultFixture f("dist_wait_hard");
-  FaultInjector inj(KillerFaults());
-  FAULT_SCENARIO_TRACE(inj.config().seed);
-  f.source->SetFaultInjection(&inj);
+  FAULT_SCENARIO_TRACE(kKillerSeed);
+  ScopedMediaFaults faults(kKillerSeed, KillerFaults());
 
   DistributedTrainerOptions opts = f.Options();
   opts.failure_policy = WorkerFailurePolicy::kWait;

@@ -16,7 +16,6 @@
 #include "dataset/loader.h"
 #include "dataloader/dataset_api.h"
 #include "iosim/device.h"
-#include "iosim/fault_injector.h"
 #include "iosim/sim_clock.h"
 #include "storage/heapfile.h"
 #include "storage/page.h"
@@ -28,6 +27,7 @@
 #include "util/rng.h"
 
 #include "drain.h"
+#include "media_faults.h"
 
 namespace corgipile {
 namespace {
@@ -407,16 +407,22 @@ TEST_P(RetryBackoffCapProperty, PerReadChargeNeverExceedsPolicyCap) {
   }
   ASSERT_TRUE(file->Sync().ok());
 
-  FaultConfig cfg;
-  cfg.seed = seed;
-  cfg.transient_read_error_rate = transient_rate;
-  cfg.max_transient_failures = max_retries + 2;  // some sites never recover
-  cfg.permanent_read_error_rate = permanent_rate;
-  FaultInjector inj(cfg);
+  // A zero rate adds no rule (a media rule's probability 0 means every
+  // site); the flaky budget exceeds the retries, so some sites never
+  // recover.
+  std::vector<ChaosRule> rules;
+  if (permanent_rate > 0) {
+    rules.push_back(
+        MediaRule(kHeapRead, ChaosAction::kReadError, permanent_rate, 0));
+  }
+  if (transient_rate > 0) {
+    rules.push_back(MediaRule(kHeapRead, ChaosAction::kReadError,
+                              transient_rate, max_retries + 2));
+  }
+  ScopedMediaFaults faults(seed, std::move(rules));
   SimClock clock;
   IoStats io;
   file->SetIoAccounting(DeviceProfile::Memory(), &clock, &io);
-  file->SetFaultInjection(&inj);
   RetryPolicy policy;
   policy.max_retries = max_retries;
   file->SetRetryPolicy(policy);
